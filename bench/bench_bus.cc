@@ -2,7 +2,8 @@
 // multicast; a frame costs one transmission regardless of destination count,
 // and failover to the second line costs a bounded timeout.
 //
-// Pure bus-level microbenchmarks (no kernels). Reported:
+// Pure bus-level microbenchmarks (no kernels), on the machine's ShardPlan
+// layout: arbitration on shard 0, cluster c on shard 1+c. Reported:
 //   frames_per_sim_s   multicast throughput at a given cluster count
 //   us_per_frame       simulated service time per frame
 //   deliveries         per-destination deliveries performed
@@ -11,7 +12,7 @@
 #include <benchmark/benchmark.h>
 
 #include "src/bus/intercluster_bus.h"
-#include "src/sim/engine.h"
+#include "src/sim/sharded_engine.h"
 
 namespace auragen::bench {
 namespace {
@@ -21,11 +22,15 @@ struct NullEndpoint : BusEndpoint {
   void OnFrame(const Frame&) override { ++received; }
 };
 
+ShardedEngineOptions EngineFor(uint32_t clusters) {
+  return ShardedEngineOptions{1 + clusters, BusConfig{}.arbitration_us};
+}
+
 void BM_MulticastThroughput(benchmark::State& state) {
   const uint32_t clusters = static_cast<uint32_t>(state.range(0));
   const int frames = 2000;
   for (auto _ : state) {
-    Engine engine;
+    ShardedEngine engine(EngineFor(clusters));
     InterclusterBus bus(engine, BusConfig{}, clusters);
     std::vector<NullEndpoint> endpoints(clusters);
     for (ClusterId c = 0; c < clusters; ++c) {
@@ -54,7 +59,7 @@ void BM_MulticastThroughput(benchmark::State& state) {
 void BM_PayloadSizeSweep(benchmark::State& state) {
   const size_t bytes = static_cast<size_t>(state.range(0));
   for (auto _ : state) {
-    Engine engine;
+    ShardedEngine engine(EngineFor(4));
     InterclusterBus bus(engine, BusConfig{}, 4);
     std::vector<NullEndpoint> endpoints(4);
     for (ClusterId c = 0; c < 4; ++c) {
@@ -74,7 +79,7 @@ void BM_PayloadSizeSweep(benchmark::State& state) {
 void BM_LineFailover(benchmark::State& state) {
   const bool fail = state.range(0) != 0;
   for (auto _ : state) {
-    Engine engine;
+    ShardedEngine engine(EngineFor(2));
     InterclusterBus bus(engine, BusConfig{}, 2);
     NullEndpoint a;
     NullEndpoint b;

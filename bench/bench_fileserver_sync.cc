@@ -8,7 +8,8 @@
 //   disk_kb         state made durable via the dual-ported disk
 //   syncmsg_kb      state shipped through the message system (ServerSync)
 //   ratio           disk bytes per message byte (claim: >> 1)
-//   commits         shadow-block superblock commits
+//   commits         durable journal commit records (one per server sync;
+//                   DESIGN.md §19)
 //   sim_ms          completion time
 
 #include <benchmark/benchmark.h>

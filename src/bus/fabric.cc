@@ -3,14 +3,12 @@
 #include <utility>
 
 #include "src/base/log.h"
-#include "src/sim/sharded_engine.h"
 
 namespace auragen {
 
 Fabric::Fabric(ShardedEngine& engine, const Topology& topology,
                std::vector<uint32_t> segment_shards)
-    : sharded_(&engine),
-      engine_(&engine.shard_core(kSharedShard)),
+    : engine_(engine),
       topology_(topology),
       num_clusters_(topology.num_clusters()),
       segment_shards_(std::move(segment_shards)) {
@@ -25,26 +23,17 @@ Fabric::Fabric(ShardedEngine& engine, const Topology& topology,
         << "cover the engine lookahead (" << topology_.switch_latency_us
         << " < " << engine.lookahead() << ")";
   }
-  BuildSegments(segment_shards_);
+  BuildSegments();
 }
 
-Fabric::Fabric(Engine& engine, const Topology& topology)
-    : engine_(&engine), topology_(topology), num_clusters_(topology.num_clusters()) {
-  if (std::string err = topology_.Validate(); !err.empty()) {
-    AURAGEN_PANIC("invalid Topology: " + err);
-  }
-  segment_shards_.assign(topology_.num_segments(), 0);
-  BuildSegments(segment_shards_);
-}
-
-void Fabric::BuildSegments(const std::vector<uint32_t>& segment_shards) {
+void Fabric::BuildSegments() {
   const uint32_t n_seg = topology_.num_segments();
   const bool bridged = n_seg > 1;
   for (SegmentId s = 0; s < n_seg; ++s) {
     segment_masks_.push_back(topology_.segment_mask(s));
     BusBinding binding;
     binding.segment = s;
-    binding.home_shard = segment_shards[s];
+    binding.home_shard = segment_shards_[s];
     // Single segment: the default (empty = all-local) mask and the 1,2,3,...
     // frame-id sequence reproduce the pre-fabric bus bit for bit.
     if (bridged) {
@@ -52,13 +41,8 @@ void Fabric::BuildSegments(const std::vector<uint32_t>& segment_shards) {
       binding.frame_id_base = 1 + s;
       binding.frame_id_stride = n_seg;
     }
-    if (sharded_ != nullptr) {
-      buses_.push_back(std::make_unique<InterclusterBus>(
-          *sharded_, topology_.segments[s].bus, num_clusters_, binding));
-    } else {
-      buses_.push_back(std::make_unique<InterclusterBus>(
-          *engine_, topology_.segments[s].bus, num_clusters_, binding));
-    }
+    buses_.push_back(std::make_unique<InterclusterBus>(
+        engine_, topology_.segments[s].bus, num_clusters_, binding));
   }
   if (bridged) {
     trunk_held_.resize(n_seg);
@@ -147,9 +131,9 @@ void Fabric::RestoreSwitch(SegmentId s) {
   AURAGEN_CHECK(s < switches_.size()) << "no switch on a single-segment fabric";
   switches_[s]->Restore();
   // Inbound copies that arrived at the trunk during the partition drain in
-  // trunk order. Control context: every shard is parked, and the posts
-  // carry the full store-and-forward latency, so the drain is race-free and
-  // lands ahead of (or tied with) any copy sequenced after the restore.
+  // trunk order. Control context (between windows), and the posts carry the
+  // full store-and-forward latency, so the drain lands ahead of (or tied
+  // with) any copy sequenced after the restore.
   auto& held = trunk_held_[s];
   while (!held.empty()) {
     auto [frame, urgent] = std::move(held.front());
@@ -168,17 +152,10 @@ const SwitchStats& Fabric::switch_stats(SegmentId s) const {
 }
 
 void Fabric::PostToTrunk(SegmentId origin, Frame frame, bool urgent) {
-  const SimTime hop = topology_.switch_latency_us;
-  if (sharded_ != nullptr) {
-    sharded_->ScheduleOn(kSharedShard, hop,
-                         [this, origin, frame = std::move(frame), urgent] {
-                           TrunkAccept(origin, frame, urgent);
-                         });
-    return;
-  }
-  engine_->Schedule(hop, [this, origin, frame = std::move(frame), urgent] {
-    TrunkAccept(origin, frame, urgent);
-  });
+  engine_.ScheduleOn(kSharedShard, topology_.switch_latency_us,
+                     [this, origin, frame = std::move(frame), urgent] {
+                       TrunkAccept(origin, frame, urgent);
+                     });
 }
 
 void Fabric::TrunkAccept(SegmentId origin, const Frame& frame, bool urgent) {
@@ -210,17 +187,10 @@ void Fabric::TrunkAccept(SegmentId origin, const Frame& frame, bool urgent) {
 }
 
 void Fabric::PostToSegment(SegmentId dest, Frame frame, bool urgent) {
-  const SimTime hop = topology_.switch_latency_us;
-  if (sharded_ != nullptr) {
-    sharded_->ScheduleOn(segment_shards_[dest], hop,
-                         [this, dest, frame = std::move(frame), urgent] {
-                           switches_[dest]->Inject(frame, urgent);
-                         });
-    return;
-  }
-  engine_->Schedule(hop, [this, dest, frame = std::move(frame), urgent] {
-    switches_[dest]->Inject(frame, urgent);
-  });
+  engine_.ScheduleOn(segment_shards_[dest], topology_.switch_latency_us,
+                     [this, dest, frame = std::move(frame), urgent] {
+                       switches_[dest]->Inject(frame, urgent);
+                     });
 }
 
 }  // namespace auragen

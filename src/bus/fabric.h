@@ -25,7 +25,7 @@
 // Determinism: the trunk lives on the shared shard (kSharedShard), where
 // barrier drain order makes its sequence numbers a pure function of the
 // per-shard schedules — the same mechanism that already made single-bus
-// frame ids deterministic. Digests are bit-identical at any thread count.
+// frame ids deterministic.
 //
 // Single-segment topologies build exactly one bus, no switches and no
 // trunk, with the historical shard-0 binding and frame-id sequence: every
@@ -43,24 +43,18 @@
 #include "src/bus/intercluster_bus.h"
 #include "src/bus/switch_node.h"
 #include "src/bus/topology.h"
-#include "src/sim/engine.h"
+#include "src/sim/sharded_engine.h"
 
 namespace auragen {
 
-class ShardedEngine;
-
 class Fabric {
  public:
-  // Sharded-machine mode. `segment_shards[s]` is the engine shard hosting
-  // segment s's bus and switch; the ShardPlan puts segment 0 on the shared
-  // shard (which also hosts the trunk) and later segments on their own
-  // shards after the cluster shards.
+  // `segment_shards[s]` is the engine shard hosting segment s's bus and
+  // switch; the ShardPlan puts segment 0 on the shared shard (which also
+  // hosts the trunk) and later segments on their own shards after the
+  // cluster shards.
   Fabric(ShardedEngine& engine, const Topology& topology,
          std::vector<uint32_t> segment_shards);
-
-  // Single-engine mode (unit tests, microbenches): every segment bus, every
-  // switch, and the trunk share one event heap.
-  Fabric(Engine& engine, const Topology& topology);
 
   Fabric(const Fabric&) = delete;
   Fabric& operator=(const Fabric&) = delete;
@@ -119,7 +113,7 @@ class Fabric {
   Tracer* tracer() { return tracer_; }
 
  private:
-  void BuildSegments(const std::vector<uint32_t>& segment_shards);
+  void BuildSegments();
   // Trunk sequencer, runs on the trunk home shard: orders the frame and
   // emits one masked copy per target segment.
   void TrunkAccept(SegmentId origin, const Frame& frame, bool urgent);
@@ -127,8 +121,7 @@ class Fabric {
   // the store-and-forward hop.
   void PostToSegment(SegmentId dest, Frame frame, bool urgent);
 
-  ShardedEngine* sharded_ = nullptr;  // null in single-engine mode
-  Engine* engine_ = nullptr;          // trunk home core
+  ShardedEngine& engine_;
   Topology topology_;
   uint32_t num_clusters_ = 0;
   std::vector<uint32_t> segment_shards_;
@@ -137,7 +130,7 @@ class Fabric {
   std::vector<std::unique_ptr<SwitchNode>> switches_;  // empty when 1 segment
 
   // Trunk state: touched only on the trunk home shard (and by control
-  // events, which run with every shard parked).
+  // events, which run between windows).
   uint64_t next_trunk_seq_ = 0;
   uint64_t trunk_forwards_ = 0;
   std::vector<std::deque<std::pair<Frame, bool>>> trunk_held_;  // per dest segment

@@ -4,7 +4,6 @@
 
 #include "src/base/log.h"
 #include "src/bus/switch_node.h"
-#include "src/sim/sharded_engine.h"
 
 namespace auragen {
 
@@ -21,29 +20,15 @@ ClusterMask ResolveLocal(const BusBinding& binding, uint32_t num_clusters) {
 
 }  // namespace
 
-InterclusterBus::InterclusterBus(Engine& engine, BusConfig config, uint32_t num_clusters,
-                                 BusBinding binding)
-    : engine_(&engine),
-      config_(config),
-      binding_(binding),
-      local_mask_(ResolveLocal(binding, num_clusters)),
-      endpoints_(num_clusters, nullptr),
-      next_frame_id_(binding.frame_id_base),
-      deliveries_(num_clusters, 0) {
-  AURAGEN_CHECK(num_clusters >= 2 && num_clusters <= kMaxClusters)
-      << "the fabric carries 2..256 clusters, got" << num_clusters;
-}
-
 InterclusterBus::InterclusterBus(ShardedEngine& engine, BusConfig config, uint32_t num_clusters,
                                  BusBinding binding)
-    : engine_(&engine.shard_core(binding.home_shard)),
-      sharded_(&engine),
+    : engine_(engine),
+      home_(engine.shard_core(binding.home_shard)),
       config_(config),
       binding_(binding),
       local_mask_(ResolveLocal(binding, num_clusters)),
       endpoints_(num_clusters, nullptr),
-      next_frame_id_(binding.frame_id_base),
-      deliveries_(num_clusters, 0) {
+      next_frame_id_(binding.frame_id_base) {
   AURAGEN_CHECK(num_clusters >= 2 && num_clusters <= kMaxClusters)
       << "the fabric carries 2..256 clusters, got" << num_clusters;
   AURAGEN_CHECK(engine.num_shards() >= 1 + num_clusters)
@@ -69,24 +54,8 @@ bool InterclusterBus::IsAttached(ClusterId cluster) const {
 }
 
 SimTime InterclusterBus::LocalNow() const {
-  if (sharded_ != nullptr) {
-    ShardId s = sharded_->CurrentShard();
-    return s == kNoShard ? sharded_->Now() : sharded_->ShardNow(s);
-  }
-  return engine_->Now();
-}
-
-BusStats InterclusterBus::stats() const {
-  BusStats s = stats_;
-  for (uint64_t d : deliveries_) {
-    s.deliveries += d;
-  }
-  return s;
-}
-
-void InterclusterBus::ResetStats() {
-  stats_ = BusStats{};
-  deliveries_.assign(deliveries_.size(), 0);
+  ShardId s = engine_.CurrentShard();
+  return s == kNoShard ? engine_.Now() : engine_.ShardNow(s);
 }
 
 void InterclusterBus::Transmit(ClusterId src, ClusterMask targets, Bytes payload, bool urgent) {
@@ -96,20 +65,16 @@ void InterclusterBus::Transmit(ClusterId src, ClusterMask targets, Bytes payload
   frame.src = src;
   frame.targets = targets;
   frame.payload = MakePayload(std::move(payload));
-  if (sharded_ != nullptr) {
-    // §5.1 minimum propagation latency, sender to arbitration: the request
-    // reaches the bus (its home shard) arbitration_us after the sender
-    // issued it — which is what licenses the cross-shard post under the
-    // lookahead contract. Frame ids are assigned at accept on the home
-    // shard, where barrier drain order makes them a pure function of the
-    // per-shard schedules.
-    sharded_->ScheduleOn(binding_.home_shard, config_.arbitration_us,
-                         [this, frame = std::move(frame), urgent]() mutable {
-                           AcceptFrame(std::move(frame), urgent);
-                         });
-    return;
-  }
-  AcceptFrame(std::move(frame), urgent);
+  // §5.1 minimum propagation latency, sender to arbitration: the request
+  // reaches the bus (its home shard) arbitration_us after the sender issued
+  // it — which is what licenses the cross-shard post under the lookahead
+  // contract. Frame ids are assigned at accept on the home shard, where
+  // barrier drain order makes them a pure function of the per-shard
+  // schedules.
+  engine_.ScheduleOn(binding_.home_shard, config_.arbitration_us,
+                      [this, frame = std::move(frame), urgent]() mutable {
+                        AcceptFrame(std::move(frame), urgent);
+                      });
 }
 
 void InterclusterBus::ForwardAccept(Frame frame, bool urgent) {
@@ -165,7 +130,7 @@ void InterclusterBus::StartNext() {
   }
   const SimTime total = fl.cost + fl.wait;
   in_flight_ = std::move(fl);
-  in_flight_->completion = engine_->Schedule(total, [this] { OnTransmitComplete(); });
+  in_flight_->completion = home_.Schedule(total, [this] { OnTransmitComplete(); });
 }
 
 void InterclusterBus::OnTransmitComplete() {
@@ -209,7 +174,7 @@ void InterclusterBus::Deliver(const Frame& frame) {
       SimTime jitter = violation_rng_.Range(0, 3 * config_.arbitration_us + 5);
       // Each per-destination closure carries its own Frame copy, but the
       // payload is shared — allocations no longer scale with |targets|.
-      engine_->Schedule(jitter, [this, frame, c] { DeliverTo(frame, c); });
+      home_.Schedule(jitter, [this, frame, c] { DeliverTo(frame, c); });
     }
     return;
   }
@@ -228,24 +193,20 @@ void InterclusterBus::Deliver(const Frame& frame) {
 }
 
 void InterclusterBus::DeliverTo(const Frame& frame, ClusterId c) {
-  if (sharded_ != nullptr) {
-    // §5.1 minimum propagation latency, line to receiving executive: the
-    // destination cluster observes the frame arbitration_us after line
-    // transmission completed. Posted unconditionally; whether the endpoint
-    // is attached is decided on the destination's own shard (endpoint state
-    // is owned by that cluster).
-    sharded_->ScheduleOn(ShardOfCluster(c), config_.arbitration_us,
-                         [this, frame, c] { DeliverLocal(frame, c); });
-    return;
-  }
-  DeliverLocal(frame, c);
+  // §5.1 minimum propagation latency, line to receiving executive: the
+  // destination cluster observes the frame arbitration_us after line
+  // transmission completed. Posted unconditionally; whether the endpoint is
+  // attached is decided on the destination's own shard (endpoint state is
+  // owned by that cluster).
+  engine_.ScheduleOn(ShardOfCluster(c), config_.arbitration_us,
+                      [this, frame, c] { DeliverLocal(frame, c); });
 }
 
 void InterclusterBus::DeliverLocal(const Frame& frame, ClusterId c) {
   if (endpoints_[c] == nullptr) {
     return;
   }
-  ++deliveries_[c];
+  ++stats_.deliveries;
   if (tracer_ != nullptr) {
     tracer_->Record(TraceEventKind::kBusRx, c, 0, 0, frame.frame_id,
                     LocalNow() - frame.sent_at);
@@ -261,7 +222,7 @@ void InterclusterBus::FailLine(int line) {
     // return the frame to the front of its lane (nothing was delivered, so
     // nothing is charged), and retry — on the surviving line if one is up,
     // else the frame waits for a restore.
-    engine_->Cancel(in_flight_->completion);
+    home_.Cancel(in_flight_->completion);
     InFlight fl = std::move(*in_flight_);
     in_flight_.reset();
     (fl.urgent ? urgent_pending_ : pending_).push_front(std::move(fl.frame));

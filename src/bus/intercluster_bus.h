@@ -28,11 +28,10 @@
 
 #include "src/base/rng.h"
 #include "src/bus/frame.h"
-#include "src/sim/engine.h"
+#include "src/sim/sharded_engine.h"
 
 namespace auragen {
 
-class ShardedEngine;
 class SwitchNode;
 
 // A cluster's receive side. The executive processor implements this.
@@ -73,8 +72,8 @@ struct BusStats {
 // shared shard, every cluster a local member, frame ids 1, 2, 3, ...
 struct BusBinding {
   SegmentId segment = 0;
-  // Engine shard hosting this bus's arbitration and line state (sharded
-  // mode only). Segment 0 keeps the historical shard-0 home.
+  // Engine shard hosting this bus's arbitration and line state. Segment 0
+  // keeps the historical shard-0 home.
   uint32_t home_shard = 0;
   // Local members: only these clusters are delivered to directly; targets
   // outside the mask leave through the segment's switch. A default (empty)
@@ -99,16 +98,13 @@ enum class AtomicityViolation : uint8_t {
 
 class InterclusterBus {
  public:
-  InterclusterBus(Engine& engine, BusConfig config, uint32_t num_clusters,
-                  BusBinding binding = BusBinding{});
-
-  // Sharded-machine mode (ShardPlan layout: shard 0 = shared bus + disks,
-  // shard 1+c = cluster c, extra segments' buses on their own shards).
-  // Arbitration and line state live on the binding's home shard; Transmit
-  // posts the frame there and delivery posts per-destination closures to the
-  // receiving cluster's shard, each hop carrying the §5.1 minimum
-  // propagation latency (arbitration_us >= the engine's lookahead), which is
-  // exactly the conservative contract ShardedEngine checks.
+  // ShardPlan layout: shard 0 = shared bus + disks, shard 1+c = cluster c,
+  // extra segments' buses on their own shards. Arbitration and line state
+  // live on the binding's home shard; Transmit posts the frame there and
+  // delivery posts per-destination closures to the receiving cluster's
+  // shard, each hop carrying the §5.1 minimum propagation latency
+  // (arbitration_us >= the engine's lookahead), which is exactly the
+  // conservative contract ShardedEngine checks.
   InterclusterBus(ShardedEngine& engine, BusConfig config, uint32_t num_clusters,
                   BusBinding binding = BusBinding{});
 
@@ -121,9 +117,10 @@ class InterclusterBus {
   void DetachEndpoint(ClusterId cluster);
   bool IsAttached(ClusterId cluster) const;
 
-  // Queues a frame for transmission. The bus serializes: at most one frame
-  // is on a line at a time; queued frames go out FIFO. Delivery to all
-  // targets happens at transmission-complete time, in target-cluster order
+  // Queues a frame for transmission: it reaches arbitration arbitration_us
+  // later. The bus serializes: at most one frame is on a line at a time;
+  // queued frames go out FIFO. Every target receives the frame
+  // arbitration_us after transmission completes, in target-cluster order
   // within the same instant.
   //
   // `urgent` frames model the low-level bus interface protocol (heartbeats,
@@ -160,11 +157,8 @@ class InterclusterBus {
   // destination (kDropPerDestination) or per frame (kInterleave).
   void InjectAtomicityViolation(AtomicityViolation mode, double probability, uint64_t seed);
 
-  // Aggregated on read: per-destination delivery counts are kept per
-  // cluster slot (each written only by its own shard on the parallel
-  // machine) and summed here.
-  BusStats stats() const;
-  void ResetStats();
+  const BusStats& stats() const { return stats_; }
+  void ResetStats() { stats_ = BusStats{}; }
   uint32_t num_clusters() const { return static_cast<uint32_t>(endpoints_.size()); }
 
   // Write-only observability (kBusTx at accept, kBusRx per destination).
@@ -192,8 +186,8 @@ class InterclusterBus {
   void DeliverLocal(const Frame& frame, ClusterId c);
   SimTime LocalNow() const;
 
-  Engine* engine_;                     // home-shard core in sharded mode
-  ShardedEngine* sharded_ = nullptr;   // null in single-engine mode
+  ShardedEngine& engine_;
+  Engine& home_;  // the home shard's core
   BusConfig config_;
   BusBinding binding_;
   ClusterMask local_mask_;             // resolved: binding.local or "all"
@@ -206,7 +200,6 @@ class InterclusterBus {
   uint64_t next_frame_id_ = 1;
   std::optional<InFlight> in_flight_;
   BusStats stats_;
-  std::vector<uint64_t> deliveries_;  // per destination cluster
   Tracer* tracer_ = nullptr;
 
   AtomicityViolation violation_ = AtomicityViolation::kNone;

@@ -28,8 +28,8 @@ void SwitchNode::Inject(const Frame& frame, bool urgent) {
 
 void SwitchNode::Restore() {
   ok_ = true;
-  // Control context (every shard parked): the held frames re-enter the
-  // trunk FIFO, in the order the segment bus emitted them.
+  // Control context (between windows): the held frames re-enter the trunk
+  // FIFO, in the order the segment bus emitted them.
   while (!egress_held_.empty()) {
     Held h = std::move(egress_held_.front());
     egress_held_.pop_front();

@@ -86,10 +86,10 @@ class Kernel : public BusEndpoint {
 
   // This kernel's local belief about a peer's liveness, maintained purely by
   // bus traffic (heartbeats set it, crash notices clear it). Backup
-  // placement consults the *caller's* belief rather than ground truth: on
-  // the parallel machine another cluster's actual state is unreadable from
-  // this shard, and the paper's kernels never had privileged knowledge
-  // either — they only ever saw the bus.
+  // placement consults the *caller's* belief rather than ground truth:
+  // another cluster's actual state belongs to that cluster's shard, and the
+  // paper's kernels never had privileged knowledge either — they only ever
+  // saw the bus.
   bool PeerBelievedAlive(ClusterId c) const {
     return c < peer_alive_.size() && peer_alive_[c];
   }

@@ -87,8 +87,8 @@ struct Metrics {
 
   // Folds another cluster's metrics into this one. Counters and durations
   // add; the machine-wide last_* stamps take the latest across clusters.
-  // The parallel machine keeps one Metrics per cluster shard (so kernels
-  // never write a shared object across shards) and aggregates on read.
+  // The machine keeps one Metrics per cluster shard (so kernels never write
+  // a shared object across shards) and aggregates on read.
   void Accumulate(const Metrics& o) {
     messages_sent += o.messages_sent;
     deliveries_primary += o.deliveries_primary;

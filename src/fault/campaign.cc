@@ -175,7 +175,6 @@ RunOutcome RunWorkload(const CampaignWorkload& wl, uint64_t seed, BackupMode mod
   mo.config.sync_policy = opt.sync_policy;
   mo.config.page_shards = opt.page_shards;
   mo.seed = seed;
-  mo.engine_threads = opt.machine_threads;
   // Ring-mode flight recorder: whole-run digest for the determinism replay
   // at bounded memory, and a tail of events if a scenario needs diagnosis.
   mo.trace.enabled = true;
@@ -330,7 +329,6 @@ KvRunOutcome RunKvWorkload(const workload::KvOptions& kv, uint64_t seed,
   mo.config.sync_policy = opt.sync_policy;
   mo.config.page_shards = opt.page_shards;
   mo.seed = seed;
-  mo.engine_threads = opt.machine_threads;
   mo.trace.enabled = true;
   mo.trace.unbounded = false;
   mo.trace.ring_capacity = 4096;
@@ -474,7 +472,6 @@ FileRunOutcome RunFileWorkload(const FileWorkload& wl, uint64_t seed, BackupMode
   // commit records, checkpoints, and syncs.
   mo.file_server.sync_every_ops = 4;
   mo.seed = seed;
-  mo.engine_threads = opt.machine_threads;
   mo.trace.enabled = true;
   mo.trace.unbounded = false;
   mo.trace.ring_capacity = 4096;
@@ -621,44 +618,13 @@ ScenarioResult RunFileScenario(uint64_t seed, const CampaignOptions& opt) {
 
 CampaignSummary RunCampaign(uint64_t first_seed, uint64_t count, const CampaignOptions& opt,
                             const std::function<void(const ScenarioResult&)>& on_result) {
-  std::vector<ScenarioResult> results(count);
-  auto run_one = [&](uint64_t index) {
-    uint64_t seed = first_seed + index;
-    results[index] = opt.file_workload ? RunFileScenario(seed, opt)
-                     : opt.kv_workload ? RunKvScenario(seed, opt)
-                                       : RunScenario(seed, opt);
+  auto run_one = [&](uint64_t seed) {
+    return opt.file_workload ? RunFileScenario(seed, opt)
+           : opt.kv_workload ? RunKvScenario(seed, opt)
+                             : RunScenario(seed, opt);
   };
-
-  uint32_t workers = std::max<uint32_t>(1, opt.engine_threads);
-  workers = static_cast<uint32_t>(std::min<uint64_t>(workers, count));
-  if (workers <= 1) {
-    for (uint64_t i = 0; i < count; ++i) {
-      run_one(i);
-    }
-  } else {
-    // Seeds are independent deterministic simulations; a shared ticket
-    // spreads them over the pool. Each result lands in its own slot, so the
-    // aggregation below sees the exact sequential outcome, in seed order.
-    std::atomic<uint64_t> next{0};
-    auto pull = [&] {
-      uint64_t i;
-      while ((i = next.fetch_add(1, std::memory_order_relaxed)) < count) {
-        run_one(i);
-      }
-    };
-    std::vector<std::thread> pool;
-    pool.reserve(workers - 1);
-    for (uint32_t t = 0; t + 1 < workers; ++t) {
-      pool.emplace_back(pull);
-    }
-    pull();
-    for (std::thread& t : pool) {
-      t.join();
-    }
-  }
-
   CampaignSummary summary;
-  for (const ScenarioResult& r : results) {
+  auto record = [&](const ScenarioResult& r) {
     summary.run++;
     // First token of Describe() is the scenario kind.
     summary.by_scenario[r.scenario.substr(0, r.scenario.find(' '))]++;
@@ -669,6 +635,39 @@ CampaignSummary RunCampaign(uint64_t first_seed, uint64_t count, const CampaignO
     if (on_result) {
       on_result(r);
     }
+  };
+
+  uint32_t workers = std::max<uint32_t>(1, opt.engine_threads);
+  workers = static_cast<uint32_t>(std::min<uint64_t>(workers, count));
+  if (workers <= 1) {
+    for (uint64_t i = 0; i < count; ++i) {
+      record(run_one(first_seed + i));
+    }
+    return summary;
+  }
+
+  // Seeds are independent deterministic simulations; a shared ticket
+  // spreads them over the pool. Each result lands in its own slot, so the
+  // aggregation below sees the exact sequential outcome, in seed order.
+  std::vector<ScenarioResult> results(count);
+  std::atomic<uint64_t> next{0};
+  auto pull = [&] {
+    uint64_t i;
+    while ((i = next.fetch_add(1, std::memory_order_relaxed)) < count) {
+      results[i] = run_one(first_seed + i);
+    }
+  };
+  std::vector<std::thread> pool;
+  pool.reserve(workers - 1);
+  for (uint32_t t = 0; t + 1 < workers; ++t) {
+    pool.emplace_back(pull);
+  }
+  pull();
+  for (std::thread& t : pool) {
+    t.join();
+  }
+  for (const ScenarioResult& r : results) {
+    record(r);
   }
   return summary;
 }

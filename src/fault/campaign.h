@@ -67,12 +67,6 @@ struct CampaignOptions {
   // only wall clock changes. Results are aggregated and reported in seed
   // order regardless of completion order.
   uint32_t engine_threads = 1;
-  // Worker threads *inside* each machine run (ShardedEngine over the
-  // ShardPlan layout). Orthogonal to engine_threads: that one spreads seeds
-  // over a pool, this one parallelizes the shards of a single simulation.
-  // Digests are bit-identical at any value — the CI cross-check compares a
-  // parallel campaign against machine_threads=1 seed for seed.
-  uint32_t machine_threads = 1;
 };
 
 struct ScenarioResult {
@@ -83,8 +77,8 @@ struct ScenarioResult {
   uint64_t takeovers = 0;
   uint64_t crashes_handled = 0;
   uint64_t tty_duplicates = 0;
-  // Machine trace digest of the faulted run: the cross-mode equivalence
-  // oracle (a parallel campaign must reproduce it seed for seed).
+  // Machine trace digest of the faulted run: the behaviour oracle (a
+  // parallel campaign, or another build, must reproduce it seed for seed).
   TraceDigest trace_digest;
 };
 
@@ -119,7 +113,9 @@ struct CampaignSummary {
 };
 
 // Runs seeds [first_seed, first_seed + count). `on_result` (if set) fires
-// after every scenario, pass or fail.
+// once per scenario, pass or fail, in seed order. With one worker it fires
+// as each scenario finishes; with a seed pool (engine_threads > 1) it fires
+// for the whole block, in seed order, after the last scenario finishes.
 CampaignSummary RunCampaign(uint64_t first_seed, uint64_t count,
                             const CampaignOptions& options,
                             const std::function<void(const ScenarioResult&)>& on_result = {});

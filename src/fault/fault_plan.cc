@@ -345,7 +345,7 @@ void InjectFaultPlan(Machine& machine, const FaultPlan& plan,
   // Action times are relative to injection (Boot() has already advanced the
   // simulated clock). Faults are machine-level interventions that reach into
   // several shards (kernel state, bus line state), so they fire as control
-  // events: between windows, with every shard parked at the fault instant.
+  // events: between windows, with every shard clock at the fault instant.
   const SimTime base = machine.Now();
   for (size_t i = 0; i < plan.actions.size(); ++i) {
     const FaultAction action = plan.actions[i];

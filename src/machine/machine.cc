@@ -221,7 +221,7 @@ Machine::Machine(MachineOptions options)
       << "topology names " << topology_.num_clusters() << " clusters but "
       << "SystemConfig::num_clusters is " << cfg.num_clusters
       << " (use MachineOptions::WithTopology, which keeps them in sync)";
-  sharded_ = std::make_unique<ShardedEngine>(plan_.EngineOptions(options_.engine_threads));
+  sharded_ = std::make_unique<ShardedEngine>(plan_.EngineOptions());
   if (options_.trace.enabled) {
     tracer_ = std::make_unique<Tracer>(options_.trace);
     tracer_->set_clock([this] { return sharded_->Now(); });
@@ -634,7 +634,6 @@ void Machine::TtyEmitFrom(ClusterId /*from*/, Gpid server, const Bytes& data) {
     tracer_->Record(TraceEventKind::kTtyEmit, kNoCluster, server.value, 0, rec.line,
                     rec.seq);
   }
-  std::lock_guard<std::mutex> lk(state_mu_);
   auto& per_line = tty_dedup_[rec.line];
   if (per_line.count(rec.seq) != 0) {
     ++tty_duplicates_;  // recovery re-emission (§7.9 window); content equal
@@ -677,7 +676,6 @@ std::unique_ptr<NativeProgram> Machine::MakeServerProgram(Gpid pid) {
 }
 
 void Machine::OnServerTakeover(Gpid pid, ClusterId new_cluster) {
-  std::lock_guard<std::mutex> lk(state_mu_);
   server_locations_[pid.value] = new_cluster;
   auto patch = [&](ServerAddr& addr) {
     if (addr.pid == pid) {
@@ -694,12 +692,10 @@ void Machine::OnServerTakeover(Gpid pid, ClusterId new_cluster) {
 }
 
 void Machine::OnProcessExit(Gpid pid, int32_t status) {
-  std::lock_guard<std::mutex> lk(state_mu_);
   exit_statuses_[pid.value] = status;
 }
 
 void Machine::OnDebugPutc(Gpid pid, char c) {
-  std::lock_guard<std::mutex> lk(state_mu_);
   debug_output_[pid.value].push_back(c);
 }
 

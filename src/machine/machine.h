@@ -10,7 +10,6 @@
 
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -68,12 +67,6 @@ struct MachineOptions {
   uint64_t seed = 1;
   DiskConfig disk;
 
-  // Worker threads driving the sharded engine (ShardPlan layout: shard 0 =
-  // bus + disks, shard 1+c = cluster c). 1 runs the same windowed code path
-  // without spawning threads; trace digests are bit-identical for every
-  // value (DESIGN.md §17).
-  uint32_t engine_threads = 1;
-
   ServerPlacement placement;
 
   PageServerOptions page_server;
@@ -122,7 +115,12 @@ struct MachineOptions {
     return *this;
   }
   MachineOptions& WithPageShards(uint32_t n) { config.page_shards = n; return *this; }
-  MachineOptions& WithEngineThreads(uint32_t n) { engine_threads = n; return *this; }
+  // Deprecated: the machine runs its shards on one thread (DESIGN.md §17).
+  // Kept only for callers that still pass 1; any other value is an error.
+  MachineOptions& WithEngineThreads(uint32_t n) {
+    AURAGEN_CHECK(n == 1) << "in-machine engine threads were removed; got " << n;
+    return *this;
+  }
   MachineOptions& WithPlacement(const ServerPlacement& p) { placement = p; return *this; }
   MachineOptions& WithTrace(bool on = true) { trace.enabled = on; return *this; }
 };
@@ -139,10 +137,8 @@ class Machine;
 
 // A cluster's private view of the machine (its MachineEnv). Each kernel gets
 // its own, carrying the cluster shard's Engine core and a cluster-local
-// Metrics object, so nothing a kernel touches through its env is shared
-// mutable state across shards. Machine-level callbacks (exit records, tty
-// transcripts, server directory updates) forward to the Machine, which
-// guards its cross-cluster maps.
+// Metrics object. Machine-level callbacks (exit records, tty transcripts,
+// server directory updates) forward to the Machine's cross-cluster maps.
 class ClusterEnv : public MachineEnv {
  public:
   ClusterEnv(Machine& machine, ClusterId cluster);
@@ -197,8 +193,7 @@ class Machine {
   }
 
   // --- driving the simulation ---
-  // The machine always runs on the sharded engine (threads=1 is the
-  // sequential reference execution of the same windowed code path).
+  // The machine runs on the windowed sharded engine (ShardPlan layout).
   ShardedEngine& sharded_engine() { return *sharded_; }
   const ShardPlan& shard_plan() const { return plan_; }
   SimTime Now() const { return sharded_->Now(); }
@@ -208,7 +203,7 @@ class Machine {
   void Run(SimTime duration);
   // Runs until `pred` holds or `max_duration` elapses; true if pred held.
   // The predicate is evaluated at window barriers (the deterministic unit of
-  // parallel progress), so a run may overshoot by up to the lookahead.
+  // progress), so a run may overshoot by up to the lookahead.
   bool RunUntil(const std::function<bool()>& pred, SimTime max_duration);
   // Runs until every spawned user process has exited (or timeout).
   bool RunUntilAllExited(SimTime max_duration);
@@ -219,8 +214,8 @@ class Machine {
 
   // Machine-level actions during a run (fault injection, console input)
   // are control events: they fire between windows with every shard clock
-  // aligned, so they may touch any cluster and are deterministic at any
-  // thread count. See ShardedEngine::ScheduleControlAt.
+  // aligned, so they may touch any cluster. See
+  // ShardedEngine::ScheduleControlAt.
   void ScheduleControlAt(SimTime when, Task fn) {
     sharded_->ScheduleControlAt(when, std::move(fn));
   }
@@ -323,9 +318,8 @@ class Machine {
                           std::function<void(Result<void>)> done);
   void TtyEmitFrom(ClusterId from, Gpid server, const Bytes& data);
   // Fullback placement by the *calling kernel's* belief about peer liveness
-  // (heartbeats + crash notices): on the parallel machine another cluster's
-  // ground truth is unreadable from this shard — and the paper's kernels
-  // only ever saw the bus anyway.
+  // (heartbeats + crash notices): another cluster's ground truth belongs to
+  // its own shard — and the paper's kernels only ever saw the bus anyway.
   ClusterId PlaceNewBackupFrom(ClusterId from, ClusterId avoid_a, ClusterId avoid_b);
   std::unique_ptr<NativeProgram> MakeServerProgram(Gpid pid);
   void OnServerTakeover(Gpid pid, ClusterId new_cluster);
@@ -343,12 +337,6 @@ class Machine {
   std::vector<std::unique_ptr<MirroredDisk>> page_disks_;  // one per shard
   std::vector<std::unique_ptr<ClusterEnv>> envs_;          // one per cluster
   std::vector<std::unique_ptr<Kernel>> kernels_;
-
-  // Guards the cross-cluster observation maps below: cluster shards write
-  // them concurrently through their envs (exits, debug output, takeovers,
-  // tty records). Control events and post-run readers are already ordered
-  // by the engine's barrier handshake.
-  mutable std::mutex state_mu_;
 
   ServerAddr fs_addr_;
   ServerAddr ps_addr_;

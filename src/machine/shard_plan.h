@@ -2,7 +2,7 @@
 // where the conservative lookahead comes from.
 //
 // The plan is the integration seam between the Machine's configuration and
-// the parallel engine (sim/sharded_engine.h): shard 0 hosts every shared
+// the windowed engine (sim/sharded_engine.h): shard 0 hosts every shared
 // component (segment 0's bus arbitration, the fabric trunk, disks, the
 // page/process servers' bus-facing side), shard 1+c hosts cluster c — its
 // work processors, executive, kernel timers — and each additional fabric
@@ -13,9 +13,6 @@
 // completion), and, on a multi-segment fabric, the switch store-and-forward
 // latency (segment bus <-> trunk). §5.1's atomic-broadcast bus guarantees
 // no cluster observes a remote effect sooner than that.
-//
-// The synthetic ClusterModel (sim/cluster_model.h) uses the same layout, so
-// scaling results measured there transfer to the machine integration.
 
 #ifndef AURAGEN_SRC_MACHINE_SHARD_PLAN_H_
 #define AURAGEN_SRC_MACHINE_SHARD_PLAN_H_
@@ -46,8 +43,8 @@ struct ShardPlan {
   }
   ShardId shared_shard() const { return kSharedShard; }
 
-  // Engine options realizing this plan with the given worker count.
-  ShardedEngineOptions EngineOptions(uint32_t threads) const;
+  // Engine options realizing this plan.
+  ShardedEngineOptions EngineOptions() const;
 
   std::string Describe() const;
 };

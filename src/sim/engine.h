@@ -1,14 +1,13 @@
-// Discrete-event simulation engine.
+// Discrete-event simulation engine: one event heap.
 //
-// The whole Auragen 4000 model — clusters, bus, disks, processes — runs on
-// one Engine. Events fire in (time, sequence) order, so ties at the same
-// instant are broken by scheduling order, making every run a deterministic
-// function of the configuration and RNG seed. That determinism is an
-// architectural invariant (DESIGN.md §4): crash/recovery equivalence tests
-// compare whole-machine traces between runs.
+// Events fire in (time, sequence) order, so ties at the same instant are
+// broken by scheduling order, making every run a deterministic function of
+// the configuration and RNG seed. That determinism is an architectural
+// invariant (DESIGN.md §4): crash/recovery equivalence tests compare
+// whole-machine traces between runs.
 //
-// For parallel runs the Engine doubles as the per-shard core of
-// ShardedEngine (sharded_engine.h): one Engine per cluster shard, driven
+// The Machine runs one Engine per shard of a ShardedEngine
+// (sharded_engine.h): one per cluster plus the shared shard, driven
 // window-by-window under conservative synchronization.
 
 #ifndef AURAGEN_SRC_SIM_ENGINE_H_

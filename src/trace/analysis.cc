@@ -95,30 +95,35 @@ double TraceAnalysis::RequestGoodputPerSec() const {
 
 std::string TraceAnalysis::ToString() const {
   std::string out;
-  out += "delivery latency    : " + delivery_latency.ToString() + "\n";
-  out += "sync stall          : " + sync_stall.ToString() + "\n";
-  out += "sync build          : " + sync_build.ToString() + "\n";
-  out += "sync page enqueue   : " + sync_page_enqueue.ToString() + "\n";
-  out += "sync flush pages    : " + sync_flush_pages.ToString() + "\n";
-  out += "sync drain overlap  : " + sync_drain_overlap.ToString() + "\n";
-  out += "crash->dispatch     : " + crash_to_dispatch.ToString() + "\n";
-  out += "crash->recovered    : " + crash_to_recovered.ToString() + "\n";
-  out += "rollforward replayed: " + rollforward_replayed.ToString() + "\n";
-  if (disk_queue_wait.count() != 0) {
-    out += "disk queue wait     : " + disk_queue_wait.ToString() + "\n";
-  }
+  // A histogram without samples says nothing; a trace filtered to a few
+  // kinds would otherwise print a column of count=0 lines.
+  auto line = [&out](const char* label, const LatencyHistogram& h) {
+    if (h.count() != 0) {
+      out += std::string(label) + ": " + h.ToString() + "\n";
+    }
+  };
+  line("delivery latency    ", delivery_latency);
+  line("sync stall          ", sync_stall);
+  line("sync build          ", sync_build);
+  line("sync page enqueue   ", sync_page_enqueue);
+  line("sync flush pages    ", sync_flush_pages);
+  line("sync drain overlap  ", sync_drain_overlap);
+  line("crash->dispatch     ", crash_to_dispatch);
+  line("crash->recovered    ", crash_to_recovered);
+  line("rollforward replayed", rollforward_replayed);
+  line("disk queue wait     ", disk_queue_wait);
+  line("fs commit blocks    ", fs_commit_blocks);
   if (fs_log_commits != 0 || fs_log_replays != 0) {
-    out += "fs commit blocks    : " + fs_commit_blocks.ToString() + "\n";
     char buf[160];
     std::snprintf(buf, sizeof(buf),
                   "fs journal          : commits=%" PRIu64 " replays=%" PRIu64 "\n",
                   fs_log_commits, fs_log_replays);
     out += buf;
   }
+  line("request latency     ", request_latency);
+  line("request read lat    ", request_read_latency);
+  line("request write lat   ", request_write_latency);
   if (requests_completed != 0) {
-    out += "request latency     : " + request_latency.ToString() + "\n";
-    out += "request read lat    : " + request_read_latency.ToString() + "\n";
-    out += "request write lat   : " + request_write_latency.ToString() + "\n";
     char buf[160];
     std::snprintf(buf, sizeof(buf),
                   "requests            : completed=%" PRIu64 " retries=%" PRIu64

@@ -178,7 +178,7 @@ class Tracer {
   // Timestamp source; the machine points this at its engine's clock.
   void set_clock(std::function<SimTime()> clock) { clock_ = std::move(clock); }
 
-  // Routing hook for parallel runs: when set, Record() hands the event to
+  // Routing hook for sharded runs: when set, Record() hands the event to
   // the hook instead of folding it directly — the machine points this at
   // ShardedEngine::Trace, which stages records per shard and replays them
   // through RecordAt() at each window barrier in deterministic merge order.
@@ -198,7 +198,7 @@ class Tracer {
   // the sink of ShardedEngine's deterministic multi-stream merge: per-shard
   // streams carry their own shard-local timestamps, and the merge replays
   // them here in (ts, shard, shard-order) order so the folded digest is a
-  // pure function of the per-shard streams — identical at any thread count.
+  // pure function of the per-shard streams.
   void RecordAt(SimTime ts, TraceEventKind kind, ClusterId cluster, uint64_t gpid,
                 uint64_t channel, uint64_t a, uint64_t b);
 

@@ -1,6 +1,8 @@
 // Unit tests for the intercluster bus: the §5.1 atomicity guarantees, the
 // serialization property, dual-line failover, and the deliberate-violation
-// hooks used by the negative recovery tests.
+// hooks used by the negative recovery tests. The bus runs on the machine's
+// ShardPlan layout, so every delivery time includes the two propagation
+// hops (sender -> arbitration, line -> receiver).
 
 #include <gtest/gtest.h>
 
@@ -8,7 +10,6 @@
 
 #include "src/bus/intercluster_bus.h"
 #include "src/bus/topology.h"
-#include "src/sim/engine.h"
 #include "src/sim/sharded_engine.h"
 
 namespace auragen {
@@ -16,18 +17,19 @@ namespace {
 
 struct Recorder : BusEndpoint {
   std::vector<Frame> frames;
-  Engine* engine = nullptr;
+  ShardedEngine* engine = nullptr;
   std::vector<SimTime> times;
   void OnFrame(const Frame& frame) override {
     frames.push_back(frame);
     if (engine != nullptr) {
-      times.push_back(engine->Now());
+      times.push_back(engine->ShardNow(engine->CurrentShard()));
     }
   }
 };
 
+// Four clusters: arbitration on shard 0, cluster c on shard 1+c.
 struct BusFixture {
-  Engine engine;
+  ShardedEngine engine{ShardedEngineOptions{5, 2}};
   BusConfig config;
   InterclusterBus bus{engine, config, 4};
   Recorder endpoints[4];
@@ -177,15 +179,17 @@ TEST(Bus, InFlightFrameAbortedByLineFailureRetriesOnSurvivor) {
   // only the successful attempt charged to the stats.
   BusFixture f;
   f.bus.Transmit(0, MaskOf(1), Bytes(16, 0));
+  const SimTime hop = f.config.arbitration_us;
   const SimTime frame_time = f.config.FrameTime(16 + Frame::kHeaderBytes);
-  f.engine.Schedule(frame_time / 2, [&] { f.bus.FailLine(0); });
+  // Halfway through the line time, on the bus's own shard.
+  f.engine.ScheduleOn(kSharedShard, hop + frame_time / 2, [&] { f.bus.FailLine(0); });
   f.engine.Run();
   ASSERT_EQ(f.endpoints[1].frames.size(), 1u);
   EXPECT_EQ(f.bus.stats().frames_sent, 1u);
   EXPECT_EQ(f.bus.stats().failovers, 1u);
   EXPECT_EQ(f.bus.stats().busy_us, frame_time);  // aborted attempt not charged
   EXPECT_EQ(f.endpoints[1].times[0],
-            frame_time / 2 + f.config.line_failover_timeout_us + frame_time);
+            hop + frame_time / 2 + f.config.line_failover_timeout_us + frame_time + hop);
 }
 
 TEST(Bus, DualLineDeathMidTransmitKeepsAccountingConsistent) {
@@ -196,7 +200,8 @@ TEST(Bus, DualLineDeathMidTransmitKeepsAccountingConsistent) {
   BusFixture f;
   f.bus.Transmit(0, MaskOf(1), Bytes(16, 0));
   const SimTime frame_time = f.config.FrameTime(16 + Frame::kHeaderBytes);
-  f.engine.Schedule(1, [&] {
+  // One microsecond into the line time, on the bus's own shard.
+  f.engine.ScheduleOn(kSharedShard, f.config.arbitration_us + 1, [&] {
     f.bus.FailLine(0);
     f.bus.FailLine(1);
   });
@@ -213,28 +218,19 @@ TEST(Bus, DualLineDeathMidTransmitKeepsAccountingConsistent) {
   EXPECT_EQ(f.bus.stats().failovers, 0u);  // line 0 came back; no failover path
 }
 
-TEST(Bus, ShardedModeDeliversAcrossShardsWithPropagationLatency) {
-  // ShardPlan layout: arbitration on shard 0, each cluster on shard 1+c.
+TEST(Bus, DeliveryCarriesBothPropagationHops) {
   // Both hops (sender->bus, line->receiver) carry arbitration_us, which is
   // what licenses the cross-shard posts under the lookahead contract.
-  ShardedEngineOptions seo;
-  seo.num_shards = 5;
-  seo.threads = 1;
-  seo.lookahead_us = 2;
-  ShardedEngine engine(seo);
-  BusConfig config;
-  InterclusterBus bus(engine, config, 4);
-  Recorder endpoints[4];
-  for (ClusterId c = 0; c < 4; ++c) {
-    bus.AttachEndpoint(c, &endpoints[c]);
-  }
-  bus.Transmit(0, MaskOf(1) | MaskOf(3), Bytes{42});
-  engine.Run(10'000);
-  ASSERT_EQ(endpoints[1].frames.size(), 1u);
-  ASSERT_EQ(endpoints[3].frames.size(), 1u);
-  EXPECT_EQ(*endpoints[1].frames[0].payload, Bytes{42});
-  EXPECT_EQ(bus.stats().frames_sent, 1u);
-  EXPECT_EQ(bus.stats().deliveries, 2u);
+  BusFixture f;
+  f.bus.Transmit(0, MaskOf(1) | MaskOf(3), Bytes{42});
+  f.engine.Run();
+  ASSERT_EQ(f.endpoints[1].frames.size(), 1u);
+  ASSERT_EQ(f.endpoints[3].frames.size(), 1u);
+  EXPECT_EQ(*f.endpoints[1].frames[0].payload, Bytes{42});
+  EXPECT_EQ(f.endpoints[1].times[0],
+            2 * f.config.arbitration_us + f.config.FrameTime(1 + Frame::kHeaderBytes));
+  EXPECT_EQ(f.bus.stats().frames_sent, 1u);
+  EXPECT_EQ(f.bus.stats().deliveries, 2u);
 }
 
 TEST(Bus, InjectedDropViolatesAllOrNothing) {
@@ -323,7 +319,7 @@ TEST(Bus, FailoverWaitAccountedSeparatelyFromBusyTime) {
 }
 
 TEST(Bus, RejectsBadClusterCounts) {
-  Engine engine;
+  ShardedEngine engine(ShardedEngineOptions{34, 2});
   // The raw bus now carries up to kMaxClusters (a fabric segment bus is the
   // one that holds the paper's 2..32 bound — Topology::Validate enforces it).
   EXPECT_DEATH(InterclusterBus(engine, BusConfig{}, 1), "2..256");

@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <string>
+#include <vector>
 
 #include "src/fault/campaign.h"
 #include "src/fault/fault_plan.h"
@@ -167,6 +169,21 @@ TEST(FaultCampaign, ParallelSeedsMatchSequential) {
     EXPECT_EQ(seq[i].trace_digest, par[i].trace_digest) << "seed " << seq[i].seed;
     EXPECT_EQ(seq[i].scenario, par[i].scenario) << "seed " << seq[i].seed;
   }
+}
+
+// With one worker, on_result reports each scenario as it finishes, not the
+// whole block at the end: the second scenario runs between the reports.
+TEST(FaultCampaign, OnResultFiresAfterEachScenario) {
+  using Clock = std::chrono::steady_clock;
+  CampaignOptions opt;
+  opt.check_determinism = false;
+  std::vector<Clock::time_point> fired;
+  const Clock::time_point start = Clock::now();
+  RunCampaign(1, 2, opt, [&](const ScenarioResult&) { fired.push_back(Clock::now()); });
+  const Clock::duration total = Clock::now() - start;
+  ASSERT_EQ(fired.size(), 2u);
+  EXPECT_GT((fired[1] - fired[0]) * 10, total)
+      << "the first report waited for the second scenario";
 }
 
 }  // namespace

@@ -173,6 +173,27 @@ TEST(Trace, AnalyzeComputesLatencies) {
   EXPECT_FALSE(analysis.ToString().empty());
 }
 
+TEST(Trace, MarksOnlyAnalysisPrintsNoEmptyHistogram) {
+  // `kvload --stats` analyses a trace filtered down to request marks: the
+  // request histograms have samples and no other histogram may print.
+  Tracer t(Capture());
+  SimTime now = 0;
+  t.set_clock([&now] { return now; });
+  const uint64_t client = Gpid::Make(1, 16).value;
+  const uint64_t write_tag = (uint64_t{2} << 24) | 1;  // op 2 = write
+  now = 100;
+  t.Record(TraceEventKind::kRequestMark, 1, client, 0, /*issued=*/1, write_tag);
+  now = 340;
+  t.Record(TraceEventKind::kRequestMark, 1, client, 0, /*done=*/2, write_tag);
+  const std::string s = AnalyzeTrace(t.Events()).ToString();
+  EXPECT_EQ(s.find("count=0"), std::string::npos) << s;
+  EXPECT_NE(s.find("request latency"), std::string::npos) << s;
+  EXPECT_NE(s.find("request write lat"), std::string::npos) << s;
+  EXPECT_EQ(s.find("request read lat"), std::string::npos) << s;
+  EXPECT_EQ(s.find("delivery latency"), std::string::npos) << s;
+  EXPECT_NE(s.find("completed=1"), std::string::npos) << s;
+}
+
 TEST(Trace, HistogramBucketsAndStats) {
   LatencyHistogram h;
   h.Add(1);

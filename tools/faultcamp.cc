@@ -21,8 +21,8 @@ void Usage() {
                "                 [--workload W] [--clusters C] [--segments S]\n"
                "                 [--switch-latency-us L] [--sync-mode M]\n"
                "                 [--adaptive-sync] [--page-shards P]\n"
-               "                 [--engine-threads T] [--machine-threads T]\n"
-               "                 [--cross-check] [--no-determinism] [--verbose]\n"
+               "                 [--engine-threads T] [--cross-check]\n"
+               "                 [--no-determinism] [--verbose]\n"
                "\n"
                "  --seeds N          run seeds [start, start+N) (default 200)\n"
                "  --workload W       pairs | kv | file (default pairs); kv runs\n"
@@ -45,15 +45,12 @@ void Usage() {
                "  --page-shards P    page-server shards (default 1)\n"
                "  --engine-threads T seeds simulated concurrently (default 1);\n"
                "                     results and digests are identical to T=1\n"
-               "  --machine-threads T shard-worker threads inside each machine\n"
-               "                     run (ShardPlan layout); digests identical\n"
-               "                     to T=1\n"
-               "  --cross-check      run the campaign fully sequentially (both\n"
-               "                     thread knobs forced to 1) AND at the\n"
-               "                     requested thread counts, and require every\n"
+               "  --cross-check      run the campaign one seed at a time AND at\n"
+               "                     --engine-threads T, and require every\n"
                "                     seed's outcome + trace digest to match\n"
                "  --no-determinism   skip the replay/trace-digest check (3x -> 2x runs)\n"
-               "  --verbose          print every scenario, not just failures\n");
+               "  --verbose          print every scenario with its trace digest,\n"
+               "                     not just failures\n");
 }
 
 }  // namespace
@@ -134,8 +131,6 @@ int main(int argc, char** argv) {
       opt.page_shards = static_cast<uint32_t>(std::strtoul(next(), nullptr, 0));
     } else if (arg == "--engine-threads") {
       opt.engine_threads = static_cast<uint32_t>(std::strtoul(next(), nullptr, 0));
-    } else if (arg == "--machine-threads") {
-      opt.machine_threads = static_cast<uint32_t>(std::strtoul(next(), nullptr, 0));
     } else if (arg == "--cross-check") {
       cross_check = true;
     } else if (arg == "--no-determinism") {
@@ -174,37 +169,39 @@ int main(int argc, char** argv) {
                                          : auragen::RunScenario(single_seed, opt);
     std::printf("seed %llu: %s  [%s]\n", static_cast<unsigned long long>(r.seed),
                 r.ok ? "PASS" : "FAIL", r.scenario.c_str());
-    std::printf("  takeovers=%llu crashes_handled=%llu tty_dups=%llu\n",
+    std::printf("  takeovers=%llu crashes_handled=%llu tty_dups=%llu digest=%s\n",
                 static_cast<unsigned long long>(r.takeovers),
                 static_cast<unsigned long long>(r.crashes_handled),
-                static_cast<unsigned long long>(r.tty_duplicates));
+                static_cast<unsigned long long>(r.tty_duplicates),
+                r.trace_digest.ToString().c_str());
     if (!r.ok) {
       std::printf("  failure: %s\n", r.failure.c_str());
     }
     return r.ok ? 0 : 1;
   }
 
+  // With --verbose every seed's line carries its faulted-run trace digest,
+  // so two builds' campaigns compare from their output alone.
   auto report = [&](const ScenarioResult& r) {
     if (!r.ok) {
-      std::printf("seed %llu: FAIL  [%s]\n  %s\n",
+      std::printf("seed %llu: FAIL  [%s] digest=%s\n  %s\n",
                   static_cast<unsigned long long>(r.seed), r.scenario.c_str(),
-                  r.failure.c_str());
+                  r.trace_digest.ToString().c_str(), r.failure.c_str());
     } else if (verbose) {
-      std::printf("seed %llu: PASS  [%s] takeovers=%llu\n",
+      std::printf("seed %llu: PASS  [%s] takeovers=%llu digest=%s\n",
                   static_cast<unsigned long long>(r.seed), r.scenario.c_str(),
-                  static_cast<unsigned long long>(r.takeovers));
+                  static_cast<unsigned long long>(r.takeovers),
+                  r.trace_digest.ToString().c_str());
     }
   };
 
   if (cross_check) {
-    // Mode-equivalence oracle: the same seed range fully sequentially (one
-    // seed at a time, one shard worker per machine) and at the requested
-    // thread counts must produce the same per-seed outcomes and trace
-    // digests, bit for bit.
+    // Mode-equivalence oracle: the same seed range one seed at a time and
+    // spread over the seed pool must produce the same per-seed outcomes and
+    // trace digests, bit for bit.
     std::vector<ScenarioResult> seq, par;
     CampaignOptions seq_opt = opt;
     seq_opt.engine_threads = 1;
-    seq_opt.machine_threads = 1;
     auto seq_summary = auragen::RunCampaign(
         start, seeds, seq_opt, [&](const ScenarioResult& r) { seq.push_back(r); });
     auto par_summary = auragen::RunCampaign(
@@ -220,10 +217,9 @@ int main(int argc, char** argv) {
                     par[i].trace_digest.ToString().c_str());
       }
     }
-    std::printf("faultcamp: %llu scenarios x2 modes (seed-threads 1 vs %u, "
-                "machine-threads 1 vs %u), %llu failed, %llu cross-mode mismatches\n",
+    std::printf("faultcamp: %llu scenarios x2 modes (seed-threads 1 vs %u), "
+                "%llu failed, %llu cross-mode mismatches\n",
                 static_cast<unsigned long long>(par_summary.run), opt.engine_threads,
-                opt.machine_threads,
                 static_cast<unsigned long long>(par_summary.failed),
                 static_cast<unsigned long long>(mismatches));
     return (seq_summary.failed == 0 && par_summary.failed == 0 && mismatches == 0) ? 0 : 1;

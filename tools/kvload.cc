@@ -33,8 +33,6 @@ void Usage() {
       "  --segments S        fabric segments (default 1 = single bus); C must\n"
       "                      divide into S equal segments\n"
       "  --switch-latency-us L  store-and-forward switch hop (default 4)\n"
-      "  --engine-threads T  shard-worker threads (ShardPlan layout); the\n"
-      "                      trace digest is identical at any T (default 1)\n"
       "  --replicas 1|2      1: message-system FT; 2: app-level P/B (default 1)\n"
       "  --strategy S        msgsys | none (default msgsys)\n"
       "  --sync-mode M       stop-and-copy | incremental | incremental-async\n"
@@ -66,7 +64,6 @@ int main(int argc, char** argv) {
   uint32_t clusters = 8;
   uint32_t segments = 1;
   SimTime switch_latency_us = 4;
-  uint32_t engine_threads = 1;
   FtStrategy strategy = FtStrategy::kMessageSystem;
   SyncPolicy sync_policy;
   SimTime crash_at = 0;
@@ -100,8 +97,6 @@ int main(int argc, char** argv) {
       segments = static_cast<uint32_t>(std::strtoul(next(), nullptr, 0));
     } else if (arg == "--switch-latency-us") {
       switch_latency_us = std::strtoull(next(), nullptr, 0);
-    } else if (arg == "--engine-threads") {
-      engine_threads = static_cast<uint32_t>(std::strtoul(next(), nullptr, 0));
     } else if (arg == "--replicas") {
       kv.replicas = static_cast<uint32_t>(std::strtoul(next(), nullptr, 0));
     } else if (arg == "--strategy") {
@@ -194,7 +189,6 @@ int main(int argc, char** argv) {
   options.config.sync_policy = sync_policy;
   if (sync_reads_limit != 0) options.config.sync_reads_limit = sync_reads_limit;
   options.seed = kv.seed;
-  options.engine_threads = engine_threads;
   options.trace.enabled = true;
   options.trace.unbounded = true;
   // Only the SLO marks and the crash-recovery envelope: full delivery
