@@ -15,9 +15,10 @@
 #ifndef AURAGEN_SRC_CORE_ROUTING_H_
 #define AURAGEN_SRC_CORE_ROUTING_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <map>
+#include <list>
+#include <unordered_map>
 #include <vector>
 
 #include "src/base/types.h"
@@ -46,7 +47,9 @@ struct RoutingEntry {
   uint8_t peer_mode = 0;      // peer's BackupMode (crash patching, §7.10.1)
   uint32_t binding_tag = 0;   // server-side meaning (e.g. tty line number)
 
-  std::deque<QueuedMsg> queue;
+  // A list, not a deque: most entries are idle, and an empty list allocates
+  // nothing where libstdc++'s empty deque holds a 544-byte block.
+  std::list<QueuedMsg> queue;
 
   uint32_t reads_since_sync = 0;    // primary entries
   uint32_t writes_since_sync = 0;   // backup entries
@@ -61,24 +64,19 @@ struct RoutingEntry {
   uint64_t reads_total = 0;
 };
 
+// Entries live at stable addresses: a RoutingEntry* stays valid until that
+// entry is removed (Remove, RemoveAllOf, or the table being replaced), across
+// any number of creates and removes of other keys.
 class RoutingTable {
  public:
-  struct Key {
-    ChannelId channel;
-    Gpid owner;
-    bool backup_entry;
-    friend bool operator<(const Key& a, const Key& b) {
-      if (a.channel != b.channel) {
-        return a.channel < b.channel;
-      }
-      if (a.owner != b.owner) {
-        return a.owner < b.owner;
-      }
-      return a.backup_entry < b.backup_entry;
-    }
-  };
+  RoutingTable() = default;
+  RoutingTable(const RoutingTable&) = delete;
+  RoutingTable& operator=(const RoutingTable&) = delete;
+  RoutingTable(RoutingTable&&) = default;
+  RoutingTable& operator=(RoutingTable&&) = default;
 
-  // Creates an entry; replaces any stale entry under the same key.
+  // Creates an entry; a stale entry under the same key is reset in place
+  // (same address, fresh fields).
   RoutingEntry& Create(ChannelId channel, Gpid owner, bool backup_entry);
 
   RoutingEntry* Find(ChannelId channel, Gpid owner, bool backup_entry);
@@ -86,13 +84,18 @@ class RoutingTable {
 
   void Remove(ChannelId channel, Gpid owner, bool backup_entry);
 
-  // All entries owned by `owner` (primary or backup per flag).
+  // All entries owned by `owner` (primary or backup per flag), in ascending
+  // channel order. Sync records and takeover iterate this order, so it
+  // feeds the trace digest.
   std::vector<RoutingEntry*> EntriesOf(Gpid owner, bool backup_entry);
 
   // Drops every entry owned by `owner` with the given role.
   void RemoveAllOf(Gpid owner, bool backup_entry);
 
-  // Full scan (crash handling walks the whole table, §7.10.1 step 1).
+  // Full scan (crash handling walks the whole table, §7.10.1 step 1), in no
+  // particular order. `fn` may modify only the entry it is given — it must
+  // not create or remove entries, touch another entry, or emit anything
+  // (trace records, messages) — so the visit order cannot reach behaviour.
   template <typename Fn>
   void ForEach(Fn&& fn) {
     for (auto& [key, entry] : entries_) {
@@ -103,7 +106,26 @@ class RoutingTable {
   size_t size() const { return entries_.size(); }
 
  private:
-  std::map<Key, RoutingEntry> entries_;
+  struct Key {
+    ChannelId channel;
+    Gpid owner;
+    bool backup_entry;
+    friend bool operator==(const Key& a, const Key& b) {
+      return a.channel == b.channel && a.owner == b.owner &&
+             a.backup_entry == b.backup_entry;
+    }
+  };
+  struct KeyHash {
+    size_t operator()(const Key& k) const;
+  };
+  // (owner, role): the channel is left zero.
+  static Key OwnerKey(Gpid owner, bool backup_entry) {
+    return Key{kNoChannel, owner, backup_entry};
+  }
+
+  std::unordered_map<Key, RoutingEntry, KeyHash> entries_;
+  // (owner, role) -> that owner's entries in ascending channel order.
+  std::unordered_map<Key, std::vector<RoutingEntry*>, KeyHash> by_owner_;
 };
 
 }  // namespace auragen

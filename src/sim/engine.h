@@ -82,6 +82,11 @@ class Engine {
   // none. Used by ShardedEngine to pick the next window.
   SimTime NextEventTime() const;
 
+  // Time of the heap's top entry, cancelled or not; kSimForever when the
+  // heap is empty. Step(until) pops something exactly when this is <= until
+  // and the dispatch limit is not yet hit.
+  SimTime HeapTopTime() const { return queue_.empty() ? kSimForever : queue_.top().when; }
+
   // Advances the clock to `t` without dispatching anything. Only legal when
   // no pending event would be skipped. ShardedEngine uses this to align
   // every shard clock at control points between windows, so that schedules

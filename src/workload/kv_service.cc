@@ -620,11 +620,12 @@ KvDeployment DeployKv(Machine& machine, const KvOptions& options) {
   return d;
 }
 
-bool KvClientsDone(const Machine& machine, const KvDeployment& d) {
-  for (Gpid pid : d.clients) {
-    if (!machine.HasExited(pid)) return false;
+bool KvClientsDone(const Machine& machine, KvDeployment& d) {
+  while (d.clients_exited < d.clients.size() &&
+         machine.HasExited(d.clients[d.clients_exited])) {
+    ++d.clients_exited;
   }
-  return true;
+  return d.clients_exited == d.clients.size();
 }
 
 uint64_t KvMismatchTotal(const Machine& machine, const KvDeployment& d) {

@@ -246,6 +246,47 @@ TEST(ShardedEngine, DispatchLimitHaltsAtWindowBarrier) {
   EXPECT_TRUE(engine.Empty());
 }
 
+TEST(ShardedEngine, CancelledOnlyShardKeepsIdsUnderDispatchLimit) {
+  // Shard 2's heap holds only cancelled entries: it never starts a window,
+  // but each window must still pop its due leftovers, because the freed
+  // slots decide the ids of later schedules. Counts, clock and ids are
+  // pinned from the engine that ran every shard in every window.
+  ShardedEngineOptions seo;
+  seo.num_shards = 3;
+  seo.lookahead_us = 2;
+  ShardedEngine engine(seo);
+  int fired = 0;
+  for (SimTime t = 0; t < 100; ++t) {
+    engine.ScheduleAtOn(1, t, [&fired] { ++fired; });
+  }
+  for (SimTime t : {5u, 9u, 24u, 25u, 40u}) {
+    engine.Cancel(2, engine.ScheduleAtOn(2, t, [] {}));
+  }
+  engine.set_dispatch_limit(25);
+  engine.Run(1000);
+  EXPECT_TRUE(engine.dispatch_limit_hit());
+  EXPECT_EQ(engine.dispatched(), 25u);
+  EXPECT_EQ(fired, 25);
+  EXPECT_EQ(engine.Now(), 25u);
+  EXPECT_EQ(engine.ShardNow(2), 0u);
+
+  // The leftovers at 5, 9, 24 and 25 were reclaimed (slots 0-3, reused
+  // last-freed first at generation 2); the one at 40 still holds slot 4.
+  std::vector<EventId> ids;
+  for (int i = 0; i < 5; ++i) {
+    ids.push_back(engine.ScheduleAtOn(2, 60, [&fired] { ++fired; }));
+  }
+  EXPECT_EQ(ids, (std::vector<EventId>{17179869186u, 12884901890u, 8589934594u,
+                                        4294967298u, 25769803777u}));
+
+  engine.set_dispatch_limit(0);
+  engine.Run(1000);
+  EXPECT_EQ(fired, 105);
+  EXPECT_EQ(engine.dispatched(), 105u);
+  EXPECT_EQ(engine.Now(), 1000u);
+  EXPECT_TRUE(engine.Empty());
+}
+
 // --- ShardPlan: the machine-topology seam ------------------------------
 
 TEST(ShardPlan, DerivesShardsAndLookaheadFromConfig) {

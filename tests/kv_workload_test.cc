@@ -125,6 +125,48 @@ TEST(KvWorkload, DeterministicTraceDigest) {
   EXPECT_EQ(digest_of(), digest_of());
 }
 
+// KvClientsDone advances an exited-prefix cursor instead of rescanning
+// every client. Exits are permanent, so at every barrier of a crash run it
+// must agree with the full scan, also while clients exit out of session
+// order (the prefix then stops short of clients that already exited).
+TEST(KvWorkload, DoneCheckCursorMatchesFullScan) {
+  Machine machine(SmallMachine());
+  machine.Boot();
+  KvDeployment d = DeployKv(machine, SmallOptions());
+  machine.CrashClusterAt(machine.Now() + 4'000, 2);
+  uint64_t barriers = 0;
+  uint64_t out_of_order = 0;  // barriers where an exit sits past a live client
+  const bool done = machine.RunUntil(
+      [&] {
+        bool all_exited = true;
+        for (Gpid pid : d.clients) {
+          if (!machine.HasExited(pid)) {
+            all_exited = false;
+          } else if (!all_exited) {
+            ++out_of_order;
+            break;
+          }
+        }
+        const bool cursor_done = KvClientsDone(machine, d);
+        EXPECT_EQ(cursor_done, all_exited) << "barrier " << barriers;
+        // The cursor is the longest exited prefix, no more and no less.
+        for (size_t i = 0; i < d.clients_exited; ++i) {
+          EXPECT_TRUE(machine.HasExited(d.clients[i])) << "barrier " << barriers;
+        }
+        if (d.clients_exited < d.clients.size()) {
+          EXPECT_FALSE(machine.HasExited(d.clients[d.clients_exited]))
+              << "barrier " << barriers;
+        }
+        ++barriers;
+        return cursor_done;
+      },
+      500'000'000);
+  EXPECT_TRUE(done);
+  EXPECT_EQ(d.clients_exited, d.clients.size());
+  EXPECT_GT(out_of_order, 0u);
+  EXPECT_GT(barriers, 1000u);
+}
+
 // The latency pipeline end to end: request marks pair up into the analysis
 // histograms, and the histogram percentiles are ordered and bounded.
 TEST(KvWorkload, MarksFeedLatencyHistograms) {
