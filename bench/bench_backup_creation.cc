@@ -50,7 +50,7 @@ void RunBurst(benchmark::State& state, bool eager) {
   const int children = static_cast<int>(state.range(0));
   for (auto _ : state) {
     MachineOptions options;
-    options.config.num_clusters = 2;
+    options.config.topology = Topology::SingleSegment(2);
     if (eager) {
       options.config.sync_time_limit_us = 200;  // first sync almost at birth
     }

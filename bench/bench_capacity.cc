@@ -29,7 +29,7 @@ constexpr int kJobSpin = 40'000;
 
 double RunBatch(uint32_t clusters, FtStrategy strategy, bool lockstep) {
   MachineOptions options;
-  options.config.num_clusters = clusters;
+  options.config.topology = Topology::SingleSegment(clusters);
   options.config.strategy = strategy;
   Machine machine(options);
   machine.Boot();

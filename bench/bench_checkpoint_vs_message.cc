@@ -29,7 +29,7 @@ double BaselineSimMs(int pages) {
     return it->second;
   }
   MachineOptions options;
-  options.config.num_clusters = 2;
+  options.config.topology = Topology::SingleSegment(2);
   options.config.strategy = FtStrategy::kNone;
   Machine machine(options);
   machine.Boot();
@@ -48,7 +48,7 @@ void RunStrategy(benchmark::State& state, FtStrategy strategy) {
   const int pages = static_cast<int>(state.range(0));
   for (auto _ : state) {
     MachineOptions options;
-    options.config.num_clusters = 2;
+    options.config.topology = Topology::SingleSegment(2);
     options.config.strategy = strategy;
     // Equalize trigger cadence across strategies: every 8 reads.
     options.config.sync_reads_limit = 8;

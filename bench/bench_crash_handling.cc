@@ -23,7 +23,7 @@ void BM_CrashHandlingScale(benchmark::State& state) {
   const int pairs = static_cast<int>(state.range(0));
   for (auto _ : state) {
     MachineOptions options;
-    options.config.num_clusters = 4;
+    options.config.topology = Topology::SingleSegment(4);
     Machine machine(options);
     machine.Boot();
     SimTime workload_start = machine.Now();

@@ -71,13 +71,8 @@ void BM_FabricDelivery(benchmark::State& state) {
   const int frames = static_cast<int>(clusters) * kFramesPerCluster;
 
   for (auto _ : state) {
-    const Topology topo =
-        segments == 1 ? Topology::SingleSegment(clusters)
-                      : Topology::Uniform(segments, clusters / segments);
-    SystemConfig config;
-    config.topology = topo;
-    config.num_clusters = clusters;
-    const ShardPlan plan = MakeShardPlan(config, DiskConfig{});
+    const Topology topo = Topology::Uniform(segments, clusters / segments);
+    const ShardPlan plan = MakeShardPlan(topo, DiskConfig{});
     ShardedEngine engine(plan.EngineOptions());
     std::vector<uint32_t> segment_shards;
     for (SegmentId s = 0; s < topo.num_segments(); ++s) {
@@ -162,11 +157,7 @@ struct RunResult {
 RunResult RunSegmentedMachine(uint32_t segments) {
   constexpr uint32_t kClusters = 16;
   MachineOptions mo;
-  if (segments == 1) {
-    mo.config.num_clusters = kClusters;
-  } else {
-    mo.WithTopology(Topology::Uniform(segments, kClusters / segments));
-  }
+  mo.WithTopology(Topology::Uniform(segments, kClusters / segments));
   mo.seed = 1;
   mo.trace.enabled = true;
   mo.trace.unbounded = false;

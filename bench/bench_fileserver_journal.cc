@@ -46,7 +46,7 @@ struct ChurnResult {
 
 ChurnResult RunChurn(uint32_t sync_every_ops) {
   MachineOptions options;
-  options.config.num_clusters = 2;
+  options.config.topology = Topology::SingleSegment(2);
   options.seed = 1;
   options.file_server.sync_every_ops = sync_every_ops;
   options.trace.enabled = true;

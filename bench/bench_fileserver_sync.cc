@@ -50,7 +50,7 @@ void BM_FsSyncInterval(benchmark::State& state) {
   const int writes = 64;
   for (auto _ : state) {
     MachineOptions options;
-    options.config.num_clusters = 2;
+    options.config.topology = Topology::SingleSegment(2);
     options.file_server.sync_every_ops = every;
     Machine machine(options);
     machine.Boot();
@@ -82,7 +82,7 @@ void BM_CrashDuringCommit(benchmark::State& state) {
   const SimTime crash_at = static_cast<SimTime>(state.range(0));
   for (auto _ : state) {
     MachineOptions options;
-    options.config.num_clusters = 2;
+    options.config.topology = Topology::SingleSegment(2);
     options.file_server.sync_every_ops = 8;
     Machine machine(options);
     machine.Boot();

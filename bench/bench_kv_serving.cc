@@ -34,7 +34,7 @@ constexpr SimTime kCrashAtUs = 10'000;  // mid-stream for both bench sizes
 
 SloReport RunServing(uint32_t sessions, SyncMode mode, bool crash) {
   MachineOptions options;
-  options.config.num_clusters = kClusters;
+  options.config.topology = Topology::SingleSegment(kClusters);
   options.config.strategy = FtStrategy::kMessageSystem;
   options.config.sync_policy.mode = mode;
   options.seed = 1;

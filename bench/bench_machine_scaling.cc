@@ -35,7 +35,7 @@ struct RunResult {
 // run in merge order.
 RunResult RunMachine(uint32_t clusters) {
   MachineOptions mo;
-  mo.config.num_clusters = clusters;
+  mo.config.topology = Topology::SingleSegment(clusters);
   mo.seed = 1;
   mo.trace.enabled = true;
   mo.trace.unbounded = false;

@@ -26,7 +26,7 @@ void RunPairs(benchmark::State& state, FtStrategy strategy) {
   const int rounds = 200;
   for (auto _ : state) {
     MachineOptions options;
-    options.config.num_clusters = 2;
+    options.config.topology = Topology::SingleSegment(2);
     options.config.strategy = strategy;
     Machine machine(options);
     machine.Boot();

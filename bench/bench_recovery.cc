@@ -34,7 +34,7 @@ struct RunResult {
 
 RunResult RunWorker(uint32_t reads_limit, bool crash, FtStrategy strategy) {
   MachineOptions options;
-  options.config.num_clusters = 2;
+  options.config.topology = Topology::SingleSegment(2);
   options.config.strategy = strategy;
   options.config.sync_reads_limit = reads_limit;
   options.config.sync_time_limit_us = 3'000'000'000ull;  // reads trigger only
@@ -77,7 +77,7 @@ void BM_ForcedSignalSyncs(benchmark::State& state) {
   const uint64_t alarm_period_us = static_cast<uint64_t>(state.range(0));
   for (auto _ : state) {
     MachineOptions options;
-    options.config.num_clusters = 2;
+    options.config.topology = Topology::SingleSegment(2);
     Machine machine(options);
     machine.Boot();
     SimTime workload_start = machine.Now();

@@ -26,7 +26,8 @@ namespace {
 void BM_SyncMode(benchmark::State& state) {
   const SyncMode mode = static_cast<SyncMode>(state.range(0));
   for (auto _ : state) {
-    MachineOptions options = MachineOptions().WithClusters(2).WithSyncMode(mode);
+    MachineOptions options =
+        MachineOptions().WithTopology(Topology::SingleSegment(2)).WithSyncMode(mode);
     options.config.sync_reads_limit = 4;  // sync every 4 rounds
     Machine machine(options);
     machine.Boot();
@@ -62,8 +63,9 @@ void BM_SyncMode(benchmark::State& state) {
 void BM_AdaptiveTrigger(benchmark::State& state) {
   const bool adaptive = state.range(0) != 0;
   for (auto _ : state) {
-    MachineOptions options =
-        MachineOptions().WithClusters(2).WithSyncMode(SyncMode::kIncrementalAsync);
+    MachineOptions options = MachineOptions()
+                                 .WithTopology(Topology::SingleSegment(2))
+                                 .WithSyncMode(SyncMode::kIncrementalAsync);
     options.config.sync_reads_limit = 1'000'000;  // time trigger only
     options.config.sync_time_limit_us = 20'000;
     options.config.sync_policy.adaptive = adaptive;

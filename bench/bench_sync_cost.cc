@@ -23,7 +23,7 @@ void BM_SyncStallVsDirtyPages(benchmark::State& state) {
   const int pages = static_cast<int>(state.range(0));
   for (auto _ : state) {
     MachineOptions options;
-    options.config.num_clusters = 2;
+    options.config.topology = Topology::SingleSegment(2);
     options.config.sync_reads_limit = 4;  // sync every 4 rounds
     Machine machine(options);
     machine.Boot();
@@ -54,7 +54,7 @@ void BM_SyncTriggerReads(benchmark::State& state) {
   const uint32_t limit = static_cast<uint32_t>(state.range(0));
   for (auto _ : state) {
     MachineOptions options;
-    options.config.num_clusters = 2;
+    options.config.topology = Topology::SingleSegment(2);
     options.config.sync_reads_limit = limit;
     options.config.sync_time_limit_us = 3'000'000'000ull;
     Machine machine(options);

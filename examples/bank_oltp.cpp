@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
   constexpr int kTotal = 2 * kTxnsPerTeller;
 
   MachineOptions options;
-  options.config.num_clusters = 2;
+  options.config.topology = Topology::SingleSegment(2);
   options.config.sync_reads_limit = 6;
   Machine machine(options);
   machine.Boot();

@@ -148,7 +148,7 @@ int main(int argc, char** argv) {
   SimTime crash_at = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 20'000;
 
   MachineOptions options;
-  options.config.num_clusters = 3;
+  options.config.topology = Topology::SingleSegment(3);
   options.config.sync_reads_limit = 4;
   Machine machine(options);
   machine.Boot();

@@ -16,7 +16,7 @@ using namespace auragen;
 
 int main() {
   MachineOptions options;
-  options.config.num_clusters = 2;
+  options.config.topology = Topology::SingleSegment(2);
   Machine machine(options);
   machine.Boot();
 

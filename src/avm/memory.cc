@@ -80,14 +80,6 @@ std::vector<PageNum> GuestMemory::DirtyPages() const {
   return out;
 }
 
-uint32_t GuestMemory::DirtyCount() const {
-  uint32_t n = 0;
-  for (PageNum p = 0; p < kAvmNumPages; ++p) {
-    n += Dirty(p) ? 1u : 0u;
-  }
-  return n;
-}
-
 void GuestMemory::ClearAllDirty() {
   // Commit the current generation as flushed and open a new one, so pages
   // written from here on read as dirty again.

@@ -64,7 +64,6 @@ class GuestMemory {
   // last one flushed).
   bool Dirty(PageNum page) const { return dirty_gen_[page] > flushed_gen_; }
   std::vector<PageNum> DirtyPages() const;
-  uint32_t DirtyCount() const;
   void ClearDirty(PageNum page) { dirty_gen_[page] = 0; }
   void ClearAllDirty();
 
@@ -74,11 +73,6 @@ class GuestMemory {
   // generation, so they belong to the *next* increment even while the
   // returned snapshots are still draining to the page server.
   std::vector<std::pair<PageNum, Bytes>> CaptureFlushPages(bool full);
-
-  // Generation introspection (tests / diagnostics).
-  uint32_t write_generation() const { return write_gen_; }
-  uint32_t flushed_generation() const { return flushed_gen_; }
-  uint32_t page_generation(PageNum page) const { return dirty_gen_[page]; }
 
   // Drops every page (recovery: the backup begins with an empty resident
   // set, §7.10.2). Content is discarded — it must come back from the page

@@ -80,7 +80,6 @@ class BufferPool {
   // Donates a buffer's storage back to the pool (contents discarded).
   void Release(Bytes&& buf);
 
-  size_t pooled() const { return free_.size(); }
   uint64_t reuses() const { return reuses_; }
   uint64_t releases() const { return releases_; }
 
@@ -124,9 +123,6 @@ class ByteWriter {
   }
   void Blob(ByteView b) { Blob(b.data(), b.size()); }
   void Str(std::string_view s) { Blob(reinterpret_cast<const uint8_t*>(s.data()), s.size()); }
-
-  // Raw bytes, no length prefix (caller knows the framing).
-  void Raw(const uint8_t* data, size_t size) { buf_.insert(buf_.end(), data, data + size); }
 
   const Bytes& bytes() const { return buf_; }
   Bytes Take() { return std::move(buf_); }

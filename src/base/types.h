@@ -77,20 +77,6 @@ enum class BackupMode : uint8_t {
   kFullback,     // new backup created before the new primary runs (needs >= 3 clusters)
 };
 
-const char* BackupModeName(BackupMode mode);
-
-inline const char* BackupModeName(BackupMode mode) {
-  switch (mode) {
-    case BackupMode::kQuarterback:
-      return "quarterback";
-    case BackupMode::kHalfback:
-      return "halfback";
-    case BackupMode::kFullback:
-      return "fullback";
-  }
-  return "?";
-}
-
 std::string GpidStr(Gpid gpid);
 
 inline std::string GpidStr(Gpid gpid) {

@@ -108,13 +108,6 @@ BusStats Fabric::stats() const {
   return agg;
 }
 
-void Fabric::ResetStats() {
-  for (auto& bus : buses_) {
-    bus->ResetStats();
-  }
-  trunk_forwards_ = 0;
-}
-
 void Fabric::set_tracer(Tracer* tracer) {
   tracer_ = tracer;
   for (auto& bus : buses_) {

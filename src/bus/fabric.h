@@ -71,7 +71,6 @@ class Fabric {
   void FailLine(int line);
   void RestoreLine(int line);
   bool line_ok(int line) const { return buses_[0]->line_ok(line); }
-  int alive_lines() const { return buses_[0]->alive_lines(); }
 
   // Applied to every segment bus (segment 0 only would silently weaken
   // multi-segment negative tests).
@@ -79,15 +78,11 @@ class Fabric {
 
   // Aggregated over every segment bus.
   BusStats stats() const;
-  void ResetStats();
-  uint32_t num_clusters() const { return num_clusters_; }
   void set_tracer(Tracer* tracer);
 
   // --- segment-aware surface ---
-  const Topology& topology() const { return topology_; }
   uint32_t num_segments() const { return static_cast<uint32_t>(buses_.size()); }
   SegmentId segment_of(ClusterId c) const { return topology_.segment_of(c); }
-  InterclusterBus& segment_bus(SegmentId s) { return *buses_[s]; }
   BusStats segment_stats(SegmentId s) const { return buses_[s]->stats(); }
 
   // Switch faults (control-event-only during a run). Failing a segment's

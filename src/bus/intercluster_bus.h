@@ -142,7 +142,6 @@ class InterclusterBus {
   // by this bus. Must run on the binding's home shard.
   void ForwardAccept(Frame frame, bool urgent);
   SegmentId segment() const { return binding_.segment; }
-  const ClusterMask& local_mask() const { return local_mask_; }
 
   // --- fault injection ---
   // Failing the line currently carrying a frame aborts that transmission:
@@ -158,7 +157,6 @@ class InterclusterBus {
   void InjectAtomicityViolation(AtomicityViolation mode, double probability, uint64_t seed);
 
   const BusStats& stats() const { return stats_; }
-  void ResetStats() { stats_ = BusStats{}; }
   uint32_t num_clusters() const { return static_cast<uint32_t>(endpoints_.size()); }
 
   // Write-only observability (kBusTx at accept, kBusRx per destination).

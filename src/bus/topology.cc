@@ -1,6 +1,6 @@
 #include "src/bus/topology.h"
 
-#include <sstream>
+#include <string>
 
 namespace auragen {
 
@@ -75,23 +75,6 @@ std::string Topology::Validate() const {
            "the cross-segment lookahead)";
   }
   return "";
-}
-
-std::string Topology::Describe() const {
-  std::ostringstream os;
-  os << num_clusters() << " clusters / " << segments.size() << " segment"
-     << (segments.size() == 1 ? "" : "s") << " [";
-  for (SegmentId s = 0; s < segments.size(); ++s) {
-    if (s > 0) {
-      os << "+";
-    }
-    os << segments[s].num_clusters;
-  }
-  os << "]";
-  if (segments.size() > 1) {
-    os << " switch=" << switch_latency_us << "us";
-  }
-  return os.str();
 }
 
 }  // namespace auragen

@@ -8,11 +8,11 @@
 // (segment 0 owns clusters [0, n0), segment 1 owns [n0, n0+n1), ...), the
 // per-segment BusConfig, and the switch forwarding latency.
 //
-// This struct is the single source of truth for the cluster count: the
-// Fabric, the ShardPlan, and SystemConfig::num_clusters are all derived
-// from (or checked against) it at Machine::Boot(). A default-constructed
-// (empty) Topology means "single segment over SystemConfig::num_clusters" —
-// the exact machine every pre-fabric call site configured.
+// SystemConfig::topology is the machine's only shape: the kernels, the
+// Fabric, the ShardPlan and the server placement all read their cluster
+// count and bus costs from it, and MachineOptions::Validate() runs
+// Validate() below before anything else. The paper's machine is
+// SingleSegment(n).
 
 #ifndef AURAGEN_SRC_BUS_TOPOLOGY_H_
 #define AURAGEN_SRC_BUS_TOPOLOGY_H_
@@ -45,7 +45,7 @@ struct Topology {
   SimTime switch_latency_us = 4;
 
   // --- factories ---
-  // The pre-fabric machine: one segment, every cluster on one dual bus.
+  // The paper's machine (§7.1): one segment, every cluster on one dual bus.
   static Topology SingleSegment(uint32_t num_clusters, BusConfig bus = BusConfig{});
   // `num_segments` equal segments of `clusters_per_segment` each.
   static Topology Uniform(uint32_t num_segments, uint32_t clusters_per_segment,
@@ -62,21 +62,19 @@ struct Topology {
   }
 
   // --- derived shape ---
-  bool empty() const { return segments.empty(); }
   uint32_t num_segments() const { return static_cast<uint32_t>(segments.size()); }
   uint32_t num_clusters() const;
   SegmentId segment_of(ClusterId c) const;
   ClusterId segment_base(SegmentId s) const;   // first cluster id of segment s
   uint32_t segment_size(SegmentId s) const { return segments[s].num_clusters; }
   ClusterMask segment_mask(SegmentId s) const;
+  const BusConfig& bus_of(ClusterId c) const { return segments[segment_of(c)].bus; }
 
   // "" when valid; otherwise an actionable diagnostic. Valid means: at least
   // one segment, every segment in the paper's 2..32 range, the total within
   // kMaxClusters, and a usable (>= 1us) switch latency when more than one
   // segment needs bridging.
   std::string Validate() const;
-
-  std::string Describe() const;
 };
 
 }  // namespace auragen

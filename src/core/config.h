@@ -1,7 +1,9 @@
 // Tunable parameters of the simulated machine and of the fault-tolerance
-// mechanisms. The FT-relevant knobs correspond to the "system-defined"
-// values of §5.2 and §7.8 ("It is possible to set the message count and
-// execution time interval which trigger sync for each process").
+// mechanisms. The machine's shape (cluster count, segments, bus costs) is
+// SystemConfig::topology and nothing else. The FT-relevant knobs correspond
+// to the "system-defined" values of §5.2 and §7.8 ("It is possible to set
+// the message count and execution time interval which trigger sync for each
+// process").
 
 #ifndef AURAGEN_SRC_CORE_CONFIG_H_
 #define AURAGEN_SRC_CORE_CONFIG_H_
@@ -107,7 +109,11 @@ struct SyncPolicy {
 };
 
 struct SystemConfig {
-  uint32_t num_clusters = 2;
+  // The machine's shape: how many clusters, on which dual-bus segments, with
+  // which bus costs (src/bus/topology.h). The default is the paper's
+  // smallest machine, two clusters on one dual bus (§7.1).
+  Topology topology = Topology::SingleSegment(2);
+
   uint32_t work_processors_per_cluster = 2;   // §7.1
 
   FtStrategy strategy = FtStrategy::kMessageSystem;
@@ -146,20 +152,6 @@ struct SystemConfig {
 
   // --- crash handling (§7.10.1) ---
   SimTime crash_scan_per_entry_us = 1;   // routing-table patch cost per entry
-
-  BusConfig bus;
-
-  // Intercluster fabric layout (src/bus/topology.h). Empty (the default)
-  // means the pre-fabric machine: one segment over `num_clusters` clusters
-  // using `bus` — see resolved_topology(). When set, it is the single source
-  // of truth for the cluster count; Machine::Boot() CHECKs that
-  // `num_clusters` agrees (MachineOptions::WithTopology keeps them in sync).
-  Topology topology;
-
-  // The topology every component actually runs on.
-  Topology resolved_topology() const {
-    return topology.empty() ? Topology::SingleSegment(num_clusters, bus) : topology;
-  }
 
   // Default backup mode for user processes (§7.3: "The default mode, at
   // least for the first implementation, will be quarterback").

@@ -17,7 +17,7 @@ namespace auragen {
 
 ClusterMask Kernel::LiveBroadcastMask() const {
   ClusterMask mask = 0;
-  for (ClusterId c = 0; c < env_.config().num_clusters; ++c) {
+  for (ClusterId c = 0; c < num_clusters_; ++c) {
     if (c == id_ || peer_alive_[c]) {
       mask |= MaskOf(c);
     }

@@ -267,7 +267,7 @@ void Kernel::DeliverLocal(const MsgView& msg) {
           ne.own_backup_cluster = id_;
           // Same staleness hazard as the open-completion path: a held reply
           // re-delivered after a crash names pre-crash peer clusters.
-          for (ClusterId c = 0; c < env_.config().num_clusters; ++c) {
+          for (ClusterId c = 0; c < num_clusters_; ++c) {
             if (crash_handled_[c]) {
               PatchEntryAfterCrash(ne, c);
             }

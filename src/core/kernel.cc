@@ -13,11 +13,12 @@ namespace auragen {
 Kernel::Kernel(MachineEnv& env, ClusterId id)
     : env_(env),
       id_(id),
+      num_clusters_(env.config().topology.num_clusters()),
       idle_workers_(env.config().work_processors_per_cluster),
-      last_heartbeat_(env.config().num_clusters, 0),
-      peer_alive_(env.config().num_clusters, true),
-      crash_handled_(env.config().num_clusters, false),
-      crash_detect_at_(env.config().num_clusters, 0) {
+      last_heartbeat_(num_clusters_, 0),
+      peer_alive_(num_clusters_, true),
+      crash_handled_(num_clusters_, false),
+      crash_detect_at_(num_clusters_, 0) {
   kernel_pid_ = Gpid::Make(id_, 1);
 }
 
@@ -39,7 +40,7 @@ void Kernel::HeartbeatTick() {
   SimTime now = env_.engine().Now();
   last_heartbeat_[id_] = now;
   ClusterMask others = 0;
-  for (ClusterId c = 0; c < env_.config().num_clusters; ++c) {
+  for (ClusterId c = 0; c < num_clusters_; ++c) {
     if (c != id_) {
       others |= MaskOf(c);
     }
@@ -62,7 +63,7 @@ void Kernel::CheckPeers() {
   if (now < env_.config().heartbeat_timeout_us) {
     return;  // grace period at boot
   }
-  for (ClusterId c = 0; c < env_.config().num_clusters; ++c) {
+  for (ClusterId c = 0; c < num_clusters_; ++c) {
     if (c == id_ || !peer_alive_[c] || crash_handled_[c]) {
       continue;
     }
@@ -306,7 +307,7 @@ void Kernel::Restart() {
   next_arrival_seq_ = 1;
   page_waiters_.clear();
   ResetFlushPipeline();
-  for (ClusterId c = 0; c < env_.config().num_clusters; ++c) {
+  for (ClusterId c = 0; c < num_clusters_; ++c) {
     last_heartbeat_[c] = env_.engine().Now();
   }
   crash_handled_[id_] = false;
@@ -320,11 +321,6 @@ void Kernel::Restart() {
 Pcb* Kernel::FindProcess(Gpid pid) {
   auto it = procs_.find(pid);
   return it == procs_.end() ? nullptr : it->second.get();
-}
-
-const BackupPcb* Kernel::FindBackup(Gpid pid) const {
-  auto it = backups_.find(pid);
-  return it == backups_.end() ? nullptr : &it->second;
 }
 
 size_t Kernel::num_live_processes() const {

@@ -113,17 +113,9 @@ class Kernel : public BusEndpoint {
 
   // --- test & harness access ---
   Pcb* FindProcess(Gpid pid);
-  const BackupPcb* FindBackup(Gpid pid) const;
   RoutingTable& routing() { return routing_; }
   size_t num_live_processes() const;
   bool Quiescent() const;  // no ready work, empty queues (drained)
-
-  // Registers a callback run when process `pid` exits locally.
-  using ExitHook = std::function<void(Gpid, int32_t)>;
-  void set_exit_hook(ExitHook hook) { exit_hook_ = std::move(hook); }
-
-  // The pseudo-pid owning kernel-side channels (page/report traffic).
-  Gpid kernel_pid() const { return kernel_pid_; }
 
   // Places a message on a local entry of `owner` identified by binding_tag
   // (self channels: timer fires, terminal hardware input). Local-only: never
@@ -312,6 +304,9 @@ class Kernel : public BusEndpoint {
 
   MachineEnv& env_;
   const ClusterId id_;
+  // Clusters in the machine (SystemConfig::topology), read once at
+  // construction: the per-cluster loops and liveness vectors use it.
+  const uint32_t num_clusters_;
   bool alive_ = true;
 
   RoutingTable routing_;
@@ -371,8 +366,6 @@ class Kernel : public BusEndpoint {
   // Birth notices by parent (§7.7), kept independent of BackupPcb existence:
   // a parent re-created by its own parent's replayed fork still needs them.
   std::map<Gpid, std::vector<BirthNotice>> birth_store_;
-
-  ExitHook exit_hook_;
 
   friend class KernelTestPeer;
 };

@@ -430,9 +430,6 @@ void Kernel::DestroyProcess(Pcb& pcb, int32_t status) {
                     static_cast<uint64_t>(static_cast<int64_t>(status)), 0);
   }
   env_.OnProcessExit(pid, status);
-  if (exit_hook_) {
-    exit_hook_(pid, status);
-  }
   birth_store_.erase(pid);
   procs_.erase(pid);
 }

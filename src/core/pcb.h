@@ -33,21 +33,6 @@ enum class ProcState : uint8_t {
   kExited,
 };
 
-const char* ProcStateName(ProcState s);
-
-inline const char* ProcStateName(ProcState s) {
-  switch (s) {
-    case ProcState::kReady: return "ready";
-    case ProcState::kBlockedRead: return "blocked-read";
-    case ProcState::kBlockedWhich: return "blocked-which";
-    case ProcState::kBlockedPage: return "blocked-page";
-    case ProcState::kBlockedDevice: return "blocked-device";
-    case ProcState::kParkedBackup: return "parked-backup";
-    case ProcState::kExited: return "exited";
-  }
-  return "?";
-}
-
 // Kind of peer on a channel (§7.4.1 status info: "the type of process at
 // the other end").
 //   kUserPeer      — another user process; read pops queued messages.

@@ -688,7 +688,7 @@ void Kernel::ForceCheckpoint(Pcb& pcb) {
   SimTime stall = env_.config().sync_build_us +
                   env_.config().sync_page_enqueue_us * pages.size() +
                   static_cast<SimTime>(static_cast<double>(msg.body.size()) *
-                                       env_.config().bus.us_per_byte);
+                                       env_.config().topology.bus_of(id_).us_per_byte);
   m.checkpoints++;
   m.checkpoint_bytes += msg.body.size();
   m.checkpoint_stall_us += stall;

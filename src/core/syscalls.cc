@@ -173,7 +173,7 @@ void Kernel::ConsumeMessage(Pcb& pcb, RoutingEntry& entry, int64_t max, bool rea
     // the peer's pre-crash location. Apply the crashes this kernel has
     // already handled, or the first send walks into a dead cluster and the
     // save leg parks in a queue nothing will ever replay.
-    for (ClusterId c = 0; c < env_.config().num_clusters; ++c) {
+    for (ClusterId c = 0; c < num_clusters_; ++c) {
       if (crash_handled_[c]) {
         PatchEntryAfterCrash(ne, c);
       }

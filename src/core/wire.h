@@ -79,8 +79,6 @@ struct Msg {
 
   Bytes Encode() const;
   static Msg Decode(ByteView frame_payload);
-
-  size_t ByteSize() const { return body.size() + 64; }
 };
 
 // Decode-once view of a frame payload (DESIGN.md §13). The executive parses

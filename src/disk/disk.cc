@@ -128,12 +128,6 @@ Bytes BlockDevice::PeekBlock(BlockNum block) const {
   return blocks_[block];
 }
 
-void BlockDevice::PokeBlock(BlockNum block, const Bytes& data) {
-  AURAGEN_CHECK(block < config_.num_blocks);
-  AURAGEN_CHECK(data.size() <= kBlockSize);
-  blocks_[block] = data;
-}
-
 MirroredDisk::MirroredDisk(Engine& engine, DiskConfig config, ClusterId port_a, ClusterId port_b)
     : drive0_(engine, config), drive1_(engine, config), port_a_(port_a), port_b_(port_b) {
   AURAGEN_CHECK(port_a != port_b) << "dual ports must reach distinct clusters";

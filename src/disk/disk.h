@@ -74,10 +74,9 @@ class BlockDevice {
   // request granularity, not mid-block).
   void WriteMulti(DiskWriteBatch batch, Callback done);
 
-  // Synchronous accessors for test setup/inspection only; they bypass the
-  // timing model and must not be used by simulated servers.
+  // Synchronous accessor for test inspection only; it bypasses the timing
+  // model and must not be used by simulated servers.
   Bytes PeekBlock(BlockNum block) const;
-  void PokeBlock(BlockNum block, const Bytes& data);
 
   void Fail() { failed_ = true; }
   void Restore() { failed_ = false; }

@@ -1,6 +1,7 @@
 #include "src/fault/campaign.h"
 
 #include <atomic>
+#include <memory>
 #include <sstream>
 #include <thread>
 #include <utility>
@@ -55,24 +56,58 @@ FaultPlan MakeScenarioPlan(uint64_t seed, const CampaignOptions& options) {
 
 namespace {
 
-// Routes the campaign's fabric shape into the machine configuration. With
-// one segment this is a no-op: config.topology stays empty and the machine
-// is the pre-fabric single-bus build, bit for bit.
-void ApplyFabric(MachineOptions& mo, const CampaignOptions& opt) {
-  if (opt.num_segments <= 1) {
-    return;
-  }
-  AURAGEN_CHECK(opt.num_clusters % opt.num_segments == 0)
+// Builds and boots one campaign machine from `mo`, which carries the
+// family's own cadences. Every family runs on the campaign's fabric shape
+// (Uniform(1, n) is the single-bus SingleSegment(n): the switch latency is
+// read only with two or more segments), the sync pipeline under test, the
+// livelock guard, and a ring-mode flight recorder: whole-run digest for the
+// determinism replay at bounded memory, and a tail of events if a scenario
+// needs diagnosis.
+std::unique_ptr<Machine> BootCampaignMachine(MachineOptions mo, const CampaignOptions& opt,
+                                             uint64_t seed) {
+  AURAGEN_CHECK(opt.num_segments >= 1 && opt.num_clusters % opt.num_segments == 0)
       << "campaign fabric: " << opt.num_clusters << " clusters do not divide into "
       << opt.num_segments << " equal segments";
-  mo.config.topology =
-      Topology::Uniform(opt.num_segments, opt.num_clusters / opt.num_segments, mo.config.bus)
-          .WithSwitchLatency(opt.switch_latency_us);
+  mo.config.topology = Topology::Uniform(opt.num_segments, opt.num_clusters / opt.num_segments)
+                           .WithSwitchLatency(opt.switch_latency_us);
+  mo.config.sync_policy = opt.sync_policy;
+  mo.config.page_shards = opt.page_shards;
+  mo.seed = seed;
+  mo.trace.enabled = true;
+  mo.trace.unbounded = false;
+  mo.trace.ring_capacity = 4096;
+  auto machine = std::make_unique<Machine>(std::move(mo));
+  machine->set_dispatch_limit(opt.dispatch_limit);
+  machine->Boot();
+  return machine;
 }
 
-}  // namespace
+// What every family reads off a run once the machine has settled.
+struct RunEnd {
+  bool completed = false;
+  bool livelock = false;
+  bool converged = false;
+  uint64_t takeovers = 0;
+  uint64_t crashes_handled = 0;
+  TraceDigest trace_digest;
+};
 
-namespace {
+// Fills `out` from a settled machine. Survivors converge when every live
+// kernel is quiescent: no stuck outgoing items, no leaked held_for
+// messages, no runnable work.
+void ObserveRunEnd(Machine& machine, const CampaignOptions& opt, RunEnd& out) {
+  out.livelock = machine.dispatch_limit_hit();
+  const Metrics m = machine.metrics();
+  out.takeovers = m.takeovers;
+  out.crashes_handled = m.crashes_handled;
+  out.trace_digest = machine.tracer()->digest();
+  out.converged = true;
+  for (ClusterId c = 0; c < opt.num_clusters; ++c) {
+    if (machine.ClusterAlive(c) && !machine.kernel(c).Quiescent()) {
+      out.converged = false;
+    }
+  }
+}
 
 // Same worker programs as the randomized crash sweep: a producer streams
 // numbered words over a named channel at a seeded pace; the consumer folds
@@ -152,37 +187,20 @@ void FoldBytes(uint64_t& h, const void* data, size_t n) {
   }
 }
 
-struct RunOutcome {
-  bool completed = false;
-  bool livelock = false;
-  bool converged = false;
+struct RunOutcome : RunEnd {
   uint64_t duplicates = 0;
   bool tty_dups_ok = false;
   uint64_t workload_digest = 0;
-  TraceDigest trace_digest;
   std::map<uint64_t, int32_t> exit_statuses;
   std::string tty_concat;  // per-line outputs joined with '|', for messages
-  uint64_t takeovers = 0;
-  uint64_t crashes_handled = 0;
 };
 
 RunOutcome RunWorkload(const CampaignWorkload& wl, uint64_t seed, BackupMode mode,
                        const FaultPlan* plan, const CampaignOptions& opt) {
   MachineOptions mo;
-  mo.config.num_clusters = opt.num_clusters;
-  ApplyFabric(mo, opt);
   mo.config.sync_reads_limit = 4;  // tight sync cadence: more recovery points
-  mo.config.sync_policy = opt.sync_policy;
-  mo.config.page_shards = opt.page_shards;
-  mo.seed = seed;
-  // Ring-mode flight recorder: whole-run digest for the determinism replay
-  // at bounded memory, and a tail of events if a scenario needs diagnosis.
-  mo.trace.enabled = true;
-  mo.trace.unbounded = false;
-  mo.trace.ring_capacity = 4096;
-  Machine machine(mo);
-  machine.set_dispatch_limit(opt.dispatch_limit);
-  machine.Boot();
+  std::unique_ptr<Machine> booted = BootCampaignMachine(std::move(mo), opt, seed);
+  Machine& machine = *booted;
 
   std::vector<Gpid> victims;
   for (size_t i = 0; i < wl.pairs.size(); ++i) {
@@ -212,13 +230,10 @@ RunOutcome RunWorkload(const CampaignWorkload& wl, uint64_t seed, BackupMode mod
   RunOutcome out;
   out.completed = machine.RunUntilAllExited(opt.run_cap_us);
   machine.Settle();
-  out.livelock = machine.dispatch_limit_hit();
+  ObserveRunEnd(machine, opt, out);
   out.duplicates = machine.TtyDuplicates();
   out.tty_dups_ok = log.tty_primary_crashed;
   out.exit_statuses = machine.exit_statuses();
-  out.takeovers = machine.metrics().takeovers;
-  out.crashes_handled = machine.metrics().crashes_handled;
-  out.trace_digest = machine.tracer()->digest();
 
   uint64_t h = 14695981039346656037ull;  // FNV-1a offset basis
   for (size_t i = 0; i < wl.pairs.size(); ++i) {
@@ -233,13 +248,6 @@ RunOutcome RunWorkload(const CampaignWorkload& wl, uint64_t seed, BackupMode mod
     FoldBytes(h, &status, sizeof(status));
   }
   out.workload_digest = h;
-
-  out.converged = true;
-  for (ClusterId c = 0; c < opt.num_clusters; ++c) {
-    if (machine.ClusterAlive(c) && !machine.kernel(c).Quiescent()) {
-      out.converged = false;
-    }
-  }
   return out;
 }
 
@@ -309,32 +317,17 @@ ScenarioResult RunScenario(uint64_t seed, const CampaignOptions& opt) {
 
 namespace {
 
-struct KvRunOutcome {
-  bool completed = false;
-  bool livelock = false;
-  bool converged = false;
+struct KvRunOutcome : RunEnd {
   uint64_t mismatches = 0;
-  uint64_t takeovers = 0;
-  uint64_t crashes_handled = 0;
-  TraceDigest trace_digest;
 };
 
 KvRunOutcome RunKvWorkload(const workload::KvOptions& kv, uint64_t seed,
                            ClusterId victim, SimTime crash_rel_us,
                            const CampaignOptions& opt) {
   MachineOptions mo;
-  mo.config.num_clusters = opt.num_clusters;
-  ApplyFabric(mo, opt);
   mo.config.sync_reads_limit = 8;  // tight cadence: more recovery points
-  mo.config.sync_policy = opt.sync_policy;
-  mo.config.page_shards = opt.page_shards;
-  mo.seed = seed;
-  mo.trace.enabled = true;
-  mo.trace.unbounded = false;
-  mo.trace.ring_capacity = 4096;
-  Machine machine(mo);
-  machine.set_dispatch_limit(opt.dispatch_limit);
-  machine.Boot();
+  std::unique_ptr<Machine> booted = BootCampaignMachine(std::move(mo), opt, seed);
+  Machine& machine = *booted;
 
   workload::KvDeployment d = workload::DeployKv(machine, kv);
   if (crash_rel_us != 0) {
@@ -345,17 +338,8 @@ KvRunOutcome RunKvWorkload(const workload::KvOptions& kv, uint64_t seed,
   out.completed = machine.RunUntil(
       [&] { return workload::KvClientsDone(machine, d); }, opt.run_cap_us);
   machine.Settle();
-  out.livelock = machine.dispatch_limit_hit();
+  ObserveRunEnd(machine, opt, out);
   out.mismatches = workload::KvMismatchTotal(machine, d);
-  out.takeovers = machine.metrics().takeovers;
-  out.crashes_handled = machine.metrics().crashes_handled;
-  out.trace_digest = machine.tracer()->digest();
-  out.converged = true;
-  for (ClusterId c = 0; c < opt.num_clusters; ++c) {
-    if (machine.ClusterAlive(c) && !machine.kernel(c).Quiescent()) {
-      out.converged = false;
-    }
-  }
   return out;
 }
 
@@ -450,34 +434,19 @@ struct FileWorkload {
   }
 };
 
-struct FileRunOutcome {
-  bool completed = false;
-  bool livelock = false;
-  bool converged = false;
+struct FileRunOutcome : RunEnd {
   std::map<uint64_t, int32_t> exit_statuses;
-  uint64_t takeovers = 0;
-  uint64_t crashes_handled = 0;
-  TraceDigest trace_digest;
 };
 
 FileRunOutcome RunFileWorkload(const FileWorkload& wl, uint64_t seed, BackupMode mode,
                                const FaultPlan* plan, const CampaignOptions& opt) {
   MachineOptions mo;
-  mo.config.num_clusters = opt.num_clusters;
-  ApplyFabric(mo, opt);
   mo.config.sync_reads_limit = 4;
-  mo.config.sync_policy = opt.sync_policy;
-  mo.config.page_shards = opt.page_shards;
   // Tight group-commit cadence: the crash window is dense with log appends,
   // commit records, checkpoints, and syncs.
   mo.file_server.sync_every_ops = 4;
-  mo.seed = seed;
-  mo.trace.enabled = true;
-  mo.trace.unbounded = false;
-  mo.trace.ring_capacity = 4096;
-  Machine machine(mo);
-  machine.set_dispatch_limit(opt.dispatch_limit);
-  machine.Boot();
+  std::unique_ptr<Machine> booted = BootCampaignMachine(std::move(mo), opt, seed);
+  Machine& machine = *booted;
 
   std::vector<Gpid> victims;
   for (const FileWorkload::Churner& c : wl.churners) {
@@ -498,17 +467,8 @@ FileRunOutcome RunFileWorkload(const FileWorkload& wl, uint64_t seed, BackupMode
   FileRunOutcome out;
   out.completed = machine.RunUntilAllExited(opt.run_cap_us);
   machine.Settle();
-  out.livelock = machine.dispatch_limit_hit();
+  ObserveRunEnd(machine, opt, out);
   out.exit_statuses = machine.exit_statuses();
-  out.takeovers = machine.metrics().takeovers;
-  out.crashes_handled = machine.metrics().crashes_handled;
-  out.trace_digest = machine.tracer()->digest();
-  out.converged = true;
-  for (ClusterId c = 0; c < opt.num_clusters; ++c) {
-    if (machine.ClusterAlive(c) && !machine.kernel(c).Quiescent()) {
-      out.converged = false;
-    }
-  }
   return out;
 }
 

@@ -23,17 +23,11 @@ std::string PlacementError(const char* role, const std::string& what) {
 }  // namespace
 
 std::string ServerPlacement::Validate(const SystemConfig& config) const {
-  const uint32_t n = config.num_clusters;
+  const Topology& topo = config.topology;
+  const uint32_t n = topo.num_clusters();
   const bool ft = config.strategy == FtStrategy::kMessageSystem;
-  if (n < 1) {
-    return "num_clusters must be >= 1";
-  }
   if (config.page_shards < 1 || config.page_shards > 32) {
     return "page_shards must be in [1, 32], got " + std::to_string(config.page_shards);
-  }
-  if (ft && n < 2) {
-    return "message-system fault tolerance needs num_clusters >= 2 (backups must "
-           "live on a different cluster)";
   }
 
   struct Role {
@@ -65,7 +59,6 @@ std::string ServerPlacement::Validate(const SystemConfig& config) const {
   // Takeover and re-backup traffic may not depend on a switch surviving the
   // fault it is recovering from, and a dual-ported disk cannot span
   // segments at all.
-  const Topology topo = config.resolved_topology();
   if (ft && topo.num_segments() > 1) {
     for (const Role& r : roles) {
       if (topo.segment_of(r.pair->primary) != topo.segment_of(r.pair->backup)) {
@@ -136,15 +129,8 @@ std::string MachineOptions::Validate() const {
   if (std::string err = config.sync_policy.Validate(); !err.empty()) {
     return "sync_policy: " + err;
   }
-  if (!config.topology.empty()) {
-    if (std::string err = config.topology.Validate(); !err.empty()) {
-      return "topology: " + err;
-    }
-    if (config.topology.num_clusters() != config.num_clusters) {
-      return "topology names " + std::to_string(config.topology.num_clusters()) +
-             " clusters but num_clusters is " + std::to_string(config.num_clusters) +
-             " (use MachineOptions::WithTopology, which keeps them in sync)";
-    }
+  if (std::string err = config.topology.Validate(); !err.empty()) {
+    return "topology: " + err;
   }
   return placement.Validate(config);
 }
@@ -164,7 +150,10 @@ const SystemConfig& ClusterEnv::config() const { return machine_.options_.config
 
 void ClusterEnv::DiskRead(Gpid server, BlockNum block,
                           std::function<void(Result<Bytes>)> done) {
-  machine_.DiskReadFrom(cluster_, server, block, std::move(done));
+  machine_.DiskOpFrom(
+      cluster_, server, {TraceEventKind::kDiskRead, 0, block, 0},
+      [block](MirroredDisk& disk, auto reply) { disk.Read(block, std::move(reply)); },
+      std::move(done));
 }
 
 void ClusterEnv::DiskWrite(Gpid server, BlockNum block, Bytes data,
@@ -172,17 +161,32 @@ void ClusterEnv::DiskWrite(Gpid server, BlockNum block, Bytes data,
   if (server == Machine::kFsPid) {
     metrics_.fileserver_disk_bytes += data.size();
   }
-  machine_.DiskWriteFrom(cluster_, server, block, std::move(data), std::move(done));
+  const Machine::DiskTrace trace{TraceEventKind::kDiskWrite, 0, block, data.size()};
+  machine_.DiskOpFrom(cluster_, server, trace,
+                      [block, data = std::move(data)](MirroredDisk& disk, auto reply) mutable {
+                        disk.Write(block, std::move(data), std::move(reply));
+                      },
+                      std::move(done));
 }
 
 void ClusterEnv::DiskWriteMulti(Gpid server, DiskWriteBatch batch,
                                 std::function<void(Result<void>)> done) {
-  if (server == Machine::kFsPid) {
-    for (const auto& [block, data] : batch) {
-      metrics_.fileserver_disk_bytes += data.size();
-    }
+  uint64_t bytes = 0;
+  for (const auto& [block, data] : batch) {
+    bytes += data.size();
   }
-  machine_.DiskWriteMultiFrom(cluster_, server, std::move(batch), std::move(done));
+  if (server == Machine::kFsPid) {
+    metrics_.fileserver_disk_bytes += bytes;
+  }
+  // One trace event for the whole transaction; a = first home block,
+  // channel = batch size.
+  const Machine::DiskTrace trace{TraceEventKind::kDiskWrite, batch.size(),
+                                 batch.empty() ? 0 : batch.front().first, bytes};
+  machine_.DiskOpFrom(cluster_, server, trace,
+                      [batch = std::move(batch)](MirroredDisk& disk, auto reply) mutable {
+                        disk.WriteMulti(std::move(batch), std::move(reply));
+                      },
+                      std::move(done));
 }
 
 void ClusterEnv::TtyEmit(Gpid server, const Bytes& data) {
@@ -211,16 +215,8 @@ void ClusterEnv::OnDebugPutc(Gpid pid, char c) { machine_.OnDebugPutc(pid, c); }
 
 Machine::Machine(MachineOptions options)
     : options_(std::move(options)),
-      topology_(options_.config.resolved_topology()),
-      plan_(MakeShardPlan(options_.config, options_.disk)),
-      rng_(options_.seed) {
+      plan_(MakeShardPlan(options_.config.topology, options_.disk)) {
   const SystemConfig& cfg = options_.config;
-  // The Topology is the single source of truth for the cluster count; a
-  // disagreeing num_clusters would size kernels and fabric differently.
-  AURAGEN_CHECK(topology_.num_clusters() == cfg.num_clusters)
-      << "topology names " << topology_.num_clusters() << " clusters but "
-      << "SystemConfig::num_clusters is " << cfg.num_clusters
-      << " (use MachineOptions::WithTopology, which keeps them in sync)";
   sharded_ = std::make_unique<ShardedEngine>(plan_.EngineOptions());
   if (options_.trace.enabled) {
     tracer_ = std::make_unique<Tracer>(options_.trace);
@@ -236,11 +232,11 @@ Machine::Machine(MachineOptions options)
     options_.file_server.tracer = tracer_.get();
     options_.page_server.tracer = tracer_.get();
   }
-  std::vector<uint32_t> segment_shards(topology_.num_segments());
+  std::vector<uint32_t> segment_shards(plan_.num_segments);
   for (SegmentId s = 0; s < segment_shards.size(); ++s) {
     segment_shards[s] = plan_.shard_of_segment(s);
   }
-  bus_ = std::make_unique<Fabric>(*sharded_, topology_, std::move(segment_shards));
+  bus_ = std::make_unique<Fabric>(*sharded_, cfg.topology, std::move(segment_shards));
   bus_->set_tracer(tracer_.get());
   const ServerPlacement& place = options_.placement;
   Engine& shared_core = sharded_->shard_core(kSharedShard);
@@ -252,7 +248,7 @@ Machine::Machine(MachineOptions options)
     page_disks_.push_back(
         std::make_unique<MirroredDisk>(shared_core, options_.disk, ports.primary, ports.backup));
   }
-  for (ClusterId c = 0; c < cfg.num_clusters; ++c) {
+  for (ClusterId c = 0; c < plan_.num_clusters; ++c) {
     envs_.push_back(std::make_unique<ClusterEnv>(*this, c));
     kernels_.push_back(std::make_unique<Kernel>(*envs_[c], c));
     kernels_.back()->set_tracer(tracer_.get());
@@ -277,10 +273,11 @@ void Machine::Boot() {
 }
 
 ClusterPair Machine::PageShardPlace(const ClusterPair& base, uint32_t s) const {
-  const uint32_t num_segments = topology_.num_segments();
+  const Topology& topo = options_.config.topology;
+  const uint32_t num_segments = topo.num_segments();
   const SegmentId seg = s % num_segments;
-  const ClusterId first = topology_.segment_base(seg);
-  const uint32_t size = topology_.segment_size(seg);
+  const ClusterId first = topo.segment_base(seg);
+  const uint32_t size = topo.segment_size(seg);
   const uint32_t turn = s / num_segments;
   return ClusterPair{first + (base.primary + turn) % size,
                      first + (base.backup + turn) % size};
@@ -389,8 +386,9 @@ Gpid Machine::SpawnUserProgram(ClusterId cluster, const Executable& exe,
   } else {
     // Default placement: the next *alive* cluster (none alive -> no backup).
     spec.backup_cluster = kNoCluster;
-    for (uint32_t step = 1; step < options_.config.num_clusters; ++step) {
-      ClusterId candidate = (cluster + step) % options_.config.num_clusters;
+    const uint32_t n = static_cast<uint32_t>(kernels_.size());
+    for (uint32_t step = 1; step < n; ++step) {
+      ClusterId candidate = (cluster + step) % n;
       if (kernels_[candidate]->alive()) {
         spec.backup_cluster = candidate;
         break;
@@ -521,16 +519,6 @@ std::string Machine::TtyOutput(uint32_t line) const {
   return out;
 }
 
-size_t Machine::TotalLiveProcesses() const {
-  size_t n = 0;
-  for (const auto& kernel : kernels_) {
-    if (kernel->alive()) {
-      n += kernel->num_live_processes();
-    }
-  }
-  return n;
-}
-
 Metrics Machine::metrics() const {
   Metrics agg;
   for (const auto& env : envs_) {
@@ -546,79 +534,24 @@ SimTime Machine::LocalNow() const {
 
 // ------------------------------------------------- ClusterEnv backends
 
-void Machine::DiskReadFrom(ClusterId from, Gpid server, BlockNum block,
-                           std::function<void(Result<Bytes>)> done) {
-  // max() never binds on the pre-fabric machine (lookahead <= arbitration by
-  // construction); it keeps the hop legal when a custom topology's segment
-  // buses are all slower than the SystemConfig-level `bus`.
-  const SimTime hop = std::max(options_.config.bus.arbitration_us, plan_.lookahead_us);
+template <typename R, typename Op>
+void Machine::DiskOpFrom(ClusterId from, Gpid server, const DiskTrace& trace, Op op,
+                         std::function<void(R)> done) {
+  const SimTime hop = options_.config.topology.bus_of(from).arbitration_us;
   const ShardId home = plan_.shard_of_cluster(from);
   sharded_->ScheduleOn(
       kSharedShard, hop,
-      [this, home, hop, server, block, done = std::move(done)]() mutable {
+      [this, home, hop, server, trace, op = std::move(op), done = std::move(done)]() mutable {
         auto it = server_disks_.find(server.value);
         AURAGEN_CHECK(it != server_disks_.end()) << "no disk bound to " << GpidStr(server);
         if (tracer_ != nullptr) {
-          tracer_->Record(TraceEventKind::kDiskRead, kNoCluster, server.value, 0, block, 0);
+          tracer_->Record(trace.kind, kNoCluster, server.value, trace.channel, trace.a, trace.b);
         }
-        it->second->Read(block, [this, home, hop, done = std::move(done)](Result<Bytes> r) mutable {
-          sharded_->ScheduleOn(home, hop,
-                               [done = std::move(done), r = std::move(r)]() mutable {
-                                 done(std::move(r));
-                               });
+        op(*it->second, [this, home, hop, done = std::move(done)](R r) mutable {
+          sharded_->ScheduleOn(home, hop, [done = std::move(done), r = std::move(r)]() mutable {
+            done(std::move(r));
+          });
         });
-      });
-}
-
-void Machine::DiskWriteFrom(ClusterId from, Gpid server, BlockNum block, Bytes data,
-                            std::function<void(Result<void>)> done) {
-  const SimTime hop = std::max(options_.config.bus.arbitration_us, plan_.lookahead_us);
-  const ShardId home = plan_.shard_of_cluster(from);
-  sharded_->ScheduleOn(
-      kSharedShard, hop,
-      [this, home, hop, server, block, data = std::move(data),
-       done = std::move(done)]() mutable {
-        auto it = server_disks_.find(server.value);
-        AURAGEN_CHECK(it != server_disks_.end()) << "no disk bound to " << GpidStr(server);
-        if (tracer_ != nullptr) {
-          tracer_->Record(TraceEventKind::kDiskWrite, kNoCluster, server.value, 0, block,
-                          data.size());
-        }
-        it->second->Write(block, std::move(data),
-                          [this, home, hop, done = std::move(done)](Result<void> r) mutable {
-                            sharded_->ScheduleOn(home, hop,
-                                                 [done = std::move(done), r]() mutable {
-                                                   done(r);
-                                                 });
-                          });
-      });
-}
-
-void Machine::DiskWriteMultiFrom(ClusterId from, Gpid server, DiskWriteBatch batch,
-                                 std::function<void(Result<void>)> done) {
-  const SimTime hop = std::max(options_.config.bus.arbitration_us, plan_.lookahead_us);
-  const ShardId home = plan_.shard_of_cluster(from);
-  sharded_->ScheduleOn(
-      kSharedShard, hop,
-      [this, home, hop, server, batch = std::move(batch),
-       done = std::move(done)]() mutable {
-        auto it = server_disks_.find(server.value);
-        AURAGEN_CHECK(it != server_disks_.end()) << "no disk bound to " << GpidStr(server);
-        if (tracer_ != nullptr) {
-          uint64_t bytes = 0;
-          for (const auto& [block, data] : batch) bytes += data.size();
-          // One trace event for the whole transaction; a = first home block,
-          // channel = batch size.
-          tracer_->Record(TraceEventKind::kDiskWrite, kNoCluster, server.value,
-                          batch.size(), batch.front().first, bytes);
-        }
-        it->second->WriteMulti(std::move(batch),
-                               [this, home, hop, done = std::move(done)](Result<void> r) mutable {
-                                 sharded_->ScheduleOn(home, hop,
-                                                      [done = std::move(done), r]() mutable {
-                                                        done(r);
-                                                      });
-                               });
       });
 }
 

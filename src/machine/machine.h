@@ -3,7 +3,8 @@
 // nodes; src/bus/fabric.h), dual-ported mirrored disks, and the operating-
 // system server processes (§7.1, §7.6). This is the public entry point of
 // the library: construct one, Boot() it, spawn guest programs, drive the
-// simulation, crash clusters, and observe transcripts and metrics.
+// simulation, crash clusters, and observe transcripts and metrics. The
+// machine's shape is MachineOptions::config.topology alone.
 
 #ifndef AURAGEN_SRC_MACHINE_MACHINE_H_
 #define AURAGEN_SRC_MACHINE_MACHINE_H_
@@ -79,31 +80,16 @@ struct MachineOptions {
   TraceOptions trace;
 
   // "" when valid; Machine::Boot() aborts with this diagnostic otherwise.
+  // The topology is checked first, so every shape the Machine constructor
+  // would reject is reported here.
   std::string Validate() const;
 
   // Fluent configuration path. Plain aggregate / field-assignment init keeps
   // working; these just let call sites chain the common knobs:
-  //   MachineOptions().WithClusters(4).WithSyncMode(SyncMode::kIncrementalAsync)
+  //   MachineOptions().WithTopology(Topology::SingleSegment(4))
+  //                   .WithSyncMode(SyncMode::kIncrementalAsync)
   MachineOptions& WithSeed(uint64_t s) { seed = s; return *this; }
-  // Deprecated single-segment shim: `WithClusters(n)` configures the
-  // pre-fabric machine — one segment, n clusters on one dual bus — and
-  // clears any topology set earlier so the two stay consistent. New call
-  // sites should describe the fabric with WithTopology.
-  MachineOptions& WithClusters(uint32_t n) {
-    config.num_clusters = n;
-    config.topology = Topology{};
-    return *this;
-  }
-  // Sets the fabric topology and keeps config.num_clusters — which Boot()
-  // CHECKs against it — in sync. The Topology is the single source of truth
-  // for the cluster count.
-  MachineOptions& WithTopology(const Topology& t) {
-    config.topology = t;
-    config.num_clusters = t.num_clusters();
-    return *this;
-  }
-  MachineOptions& WithStrategy(FtStrategy s) { config.strategy = s; return *this; }
-  MachineOptions& WithSyncPolicy(const SyncPolicy& p) { config.sync_policy = p; return *this; }
+  MachineOptions& WithTopology(const Topology& t) { config.topology = t; return *this; }
   MachineOptions& WithSyncMode(SyncMode m) { config.sync_policy.mode = m; return *this; }
   MachineOptions& WithAdaptiveSync(bool on = true) {
     config.sync_policy.adaptive = on;
@@ -121,7 +107,6 @@ struct MachineOptions {
     AURAGEN_CHECK(n == 1) << "in-machine engine threads were removed; got " << n;
     return *this;
   }
-  MachineOptions& WithPlacement(const ServerPlacement& p) { placement = p; return *this; }
   MachineOptions& WithTrace(bool on = true) { trace.enabled = on; return *this; }
 };
 
@@ -257,13 +242,10 @@ class Machine {
   // Machine-wide metrics, aggregated across the per-cluster Metrics objects
   // (counters sum; the last_* stamps take the machine-wide max).
   Metrics metrics() const;
-  // A single cluster's own counters.
-  Metrics& cluster_metrics(ClusterId cluster) { return envs_[cluster]->metrics(); }
   const std::map<uint64_t, int32_t>& exit_statuses() const { return exit_statuses_; }
   bool HasExited(Gpid pid) const { return exit_statuses_.count(pid.value) != 0; }
   int32_t ExitStatus(Gpid pid) const { return exit_statuses_.at(pid.value); }
   const std::string& DebugOutput(Gpid pid) { return debug_output_[pid.value]; }
-  size_t TotalLiveProcesses() const;
 
   ServerAddr file_server_addr() const { return fs_addr_; }
   ServerAddr proc_server_addr() const { return ps_addr_; }
@@ -275,11 +257,7 @@ class Machine {
   // Null unless MachineOptions::trace.enabled was set.
   Tracer* tracer() { return tracer_.get(); }
   Fabric& bus() { return *bus_; }
-  // The resolved fabric layout this machine runs on (single-segment when
-  // MachineOptions left SystemConfig::topology empty).
-  const Topology& topology() const { return topology_; }
   const SystemConfig& config() const { return options_.config; }
-  Rng& rng() { return rng_; }
 
   // Well-known server pids (cluster 32 is fictitious: these ids can never
   // collide with kernel-allocated pids).
@@ -306,16 +284,22 @@ class Machine {
   SimTime LocalNow() const;
 
   // --- ClusterEnv backends (called from cluster shards during a run) ---
-  // Disk traffic hops to the shared shard (where the disks live) and the
-  // completion hops back, each hop carrying the §5.1 minimum latency
-  // (bus.arbitration_us), which keeps the cross-shard posts legal under the
-  // engine's lookahead contract.
-  void DiskReadFrom(ClusterId from, Gpid server, BlockNum block,
-                    std::function<void(Result<Bytes>)> done);
-  void DiskWriteFrom(ClusterId from, Gpid server, BlockNum block, Bytes data,
-                     std::function<void(Result<void>)> done);
-  void DiskWriteMultiFrom(ClusterId from, Gpid server, DiskWriteBatch batch,
-                          std::function<void(Result<void>)> done);
+  // The trace record of one disk operation (server pid filled in by
+  // DiskOpFrom).
+  struct DiskTrace {
+    TraceEventKind kind = TraceEventKind::kDiskRead;
+    uint64_t channel = 0;
+    uint64_t a = 0;
+    uint64_t b = 0;
+  };
+  // Disk traffic hops to the shared shard (where the disks live), records
+  // `trace`, runs `op(disk, reply)` on the server's disk, and posts the
+  // completion back to the caller's shard. Each hop carries the calling
+  // cluster's bus arbitration time: the §5.1 minimum latency, never below
+  // the engine's lookahead, so the cross-shard posts are legal.
+  template <typename R, typename Op>
+  void DiskOpFrom(ClusterId from, Gpid server, const DiskTrace& trace, Op op,
+                  std::function<void(R)> done);
   void TtyEmitFrom(ClusterId from, Gpid server, const Bytes& data);
   // Fullback placement by the *calling kernel's* belief about peer liveness
   // (heartbeats + crash notices): another cluster's ground truth belongs to
@@ -327,10 +311,8 @@ class Machine {
   void OnDebugPutc(Gpid pid, char c);
 
   MachineOptions options_;
-  Topology topology_;  // resolved: never empty
   ShardPlan plan_;
   std::unique_ptr<ShardedEngine> sharded_;
-  Rng rng_;
   std::unique_ptr<Tracer> tracer_;
   std::unique_ptr<Fabric> bus_;
   std::unique_ptr<MirroredDisk> fs_disk_;

@@ -24,11 +24,10 @@ std::string ShardPlan::Describe() const {
   return os.str();
 }
 
-ShardPlan MakeShardPlan(const SystemConfig& config, const DiskConfig& disk) {
-  AURAGEN_CHECK(config.num_clusters >= 1) << "a machine needs at least one cluster";
-  const Topology topo = config.resolved_topology();
+ShardPlan MakeShardPlan(const Topology& topo, const DiskConfig& disk) {
+  AURAGEN_CHECK(topo.num_segments() >= 1) << "a machine needs at least one segment";
   ShardPlan plan;
-  plan.num_clusters = config.num_clusters;
+  plan.num_clusters = topo.num_clusters();
   plan.num_segments = topo.num_segments();
   plan.num_shards = 1 + plan.num_clusters + (plan.num_segments - 1);
   // The soonest any shard can affect another: a cluster reaches its segment

@@ -22,7 +22,6 @@
 
 #include "src/base/types.h"
 #include "src/bus/topology.h"
-#include "src/core/config.h"
 #include "src/disk/disk.h"
 #include "src/sim/sharded_engine.h"
 
@@ -49,12 +48,11 @@ struct ShardPlan {
   std::string Describe() const;
 };
 
-// Derives the plan from the machine configuration (whose resolved Topology
-// names the segments). Checks that the derived lookahead is a usable
-// (>= 1us) conservative window — a zero-latency bus, disk, or switch would
-// serialize the shards and is rejected loudly rather than silently
-// degrading.
-ShardPlan MakeShardPlan(const SystemConfig& config, const DiskConfig& disk);
+// Derives the plan from the machine's topology and disk timing. Checks that
+// the derived lookahead is a usable (>= 1us) conservative window — a
+// zero-latency bus, disk, or switch would serialize the shards and is
+// rejected loudly rather than silently degrading.
+ShardPlan MakeShardPlan(const Topology& topology, const DiskConfig& disk);
 
 }  // namespace auragen
 

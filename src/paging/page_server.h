@@ -53,7 +53,6 @@ class PageServerProgram : public NativeProgram {
   uint64_t StepWork() const override { return 30; }
 
   // Introspection for tests.
-  size_t NumAccounts() const { return primary_.size(); }
   bool BackupHasPage(Gpid pid, PageNum page) const;
   bool PrimaryHasPage(Gpid pid, PageNum page) const;
   uint64_t blocks_in_use() const { return refcount_.size(); }

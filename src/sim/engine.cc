@@ -74,9 +74,6 @@ bool Engine::Step(SimTime until) {
     now_ = ev.when;
     ++dispatched_;
     last_dispatched_ = MakeId(ev.slot, ev.gen);
-    if (tracer_ != nullptr) {
-      tracer_->Record(TraceEventKind::kEngineDispatch, kNoCluster, 0, 0, last_dispatched_, 0);
-    }
     fn();
     return true;
   }

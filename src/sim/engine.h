@@ -20,7 +20,6 @@
 #include "src/base/check.h"
 #include "src/base/task.h"
 #include "src/base/types.h"
-#include "src/trace/trace.h"
 
 namespace auragen {
 
@@ -118,11 +117,6 @@ class Engine {
   // left intact; Run() can be called again.
   void Stop() { stop_requested_ = true; }
 
-  // Write-only observability: when set, every dispatched event is recorded
-  // as kEngineDispatch (masked out of the default trace configuration
-  // because of its volume). Never read back by the simulation.
-  void set_tracer(Tracer* tracer) { tracer_ = tracer; }
-
   // Test-only visibility into the cancel bookkeeping: heap entries whose
   // slot generation has moved on (they vanish as they surface). Bounded by
   // the number of Cancel() calls on still-pending events since the last
@@ -166,7 +160,6 @@ class Engine {
   EventId last_dispatched_ = kNoEvent;
   bool stop_requested_ = false;
   bool owns_log_clock_ = false;
-  Tracer* tracer_ = nullptr;
   std::priority_queue<Event, std::vector<Event>, Later> queue_;
   std::vector<Slot> slots_;  // slab of pending callables + generations
   std::vector<uint32_t> free_slots_;

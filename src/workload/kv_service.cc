@@ -573,7 +573,7 @@ KvDeployment DeployKv(Machine& machine, const KvOptions& options) {
   AURAGEN_CHECK(options.replicas == 1 || options.replicas == 2);
   AURAGEN_CHECK(options.partitions <= 100 && options.sessions <= 10000)
       << "channel name encoding is %02u/%04u";
-  const uint32_t C = machine.config().num_clusters;
+  const uint32_t C = machine.config().topology.num_clusters();
   AURAGEN_CHECK(C >= 2);
 
   KvDeployment d;

@@ -39,7 +39,7 @@ struct Observed {
 
 Observed RunOnce(uint64_t seed, bool crash) {
   MachineOptions options;
-  options.config.num_clusters = 3;
+  options.config.topology = Topology::SingleSegment(3);
   options.seed = seed;
   // Capture everything, engine dispatch firehose included: the digest then
   // covers the complete event-by-event behaviour of the run.

@@ -290,13 +290,11 @@ TEST(ShardedEngine, CancelledOnlyShardKeepsIdsUnderDispatchLimit) {
 // --- ShardPlan: the machine-topology seam ------------------------------
 
 TEST(ShardPlan, DerivesShardsAndLookaheadFromConfig) {
-  SystemConfig config;
-  config.num_clusters = 6;
   DiskConfig disk;
-  ShardPlan plan = MakeShardPlan(config, disk);
+  ShardPlan plan = MakeShardPlan(Topology::SingleSegment(6), disk);
   EXPECT_EQ(plan.num_shards, 7u);
   // min(bus arbitration 2us, disk seek 200us)
-  EXPECT_EQ(plan.lookahead_us, std::min(config.bus.arbitration_us, disk.seek_us));
+  EXPECT_EQ(plan.lookahead_us, std::min(BusConfig{}.arbitration_us, disk.seek_us));
   EXPECT_EQ(plan.shared_shard(), kSharedShard);
   EXPECT_EQ(plan.shard_of_cluster(0), 1u);
   EXPECT_EQ(plan.shard_of_cluster(5), 6u);
@@ -308,10 +306,10 @@ TEST(ShardPlan, DerivesShardsAndLookaheadFromConfig) {
 
 TEST(ShardPlanDeath, ZeroLatencyTopologyPanics) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  SystemConfig config;
-  config.bus.arbitration_us = 0;
+  BusConfig bus;
+  bus.arbitration_us = 0;
   DiskConfig disk;
-  EXPECT_DEATH(MakeShardPlan(config, disk), "lookahead");
+  EXPECT_DEATH(MakeShardPlan(Topology::SingleSegment(2, bus), disk), "lookahead");
 }
 
 }  // namespace

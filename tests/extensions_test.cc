@@ -39,7 +39,7 @@ digit: .byte 0
 
 TEST(PartialFailure, SingleProcessFaultRecoversWithoutClusterCrash) {
   MachineOptions options;
-  options.config.num_clusters = 2;
+  options.config.topology = Topology::SingleSegment(2);
   Machine machine(options);
   machine.Boot();
   Machine::UserSpawnOptions opts;
@@ -67,7 +67,7 @@ TEST(PartialFailure, SingleProcessFaultRecoversWithoutClusterCrash) {
 
 TEST(PartialFailure, VictimWithoutBackupJustDies) {
   MachineOptions options;
-  options.config.num_clusters = 2;
+  options.config.topology = Topology::SingleSegment(2);
   options.config.strategy = FtStrategy::kNone;
   Machine machine(options);
   machine.Boot();
@@ -82,7 +82,7 @@ TEST(PartialFailure, VictimWithoutBackupJustDies) {
 
 TEST(HalfbackRestore, ServersRegainBackupsWhenClusterReturns) {
   MachineOptions options;
-  options.config.num_clusters = 2;
+  options.config.topology = Topology::SingleSegment(2);
   Machine machine(options);
   machine.Boot();
 
@@ -107,7 +107,7 @@ TEST(HalfbackRestore, ServersRegainBackupsWhenClusterReturns) {
 
 TEST(HalfbackRestore, ReprotectedServerSurvivesSecondFailure) {
   MachineOptions options;
-  options.config.num_clusters = 2;
+  options.config.topology = Topology::SingleSegment(2);
   Machine machine(options);
   machine.Boot();
 

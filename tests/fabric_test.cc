@@ -192,33 +192,6 @@ TEST(Fabric, DetachedClusterSkippedOthersStillDelivered) {
 
 // ------------------------------------------------------------ machine level
 
-TraceDigest BootDigest(MachineOptions options) {
-  options.trace.enabled = true;
-  options.trace.unbounded = true;
-  options.trace.kind_mask = ~uint64_t{0};
-  Machine machine(options);
-  machine.Boot();
-  machine.Run(150'000);
-  return machine.tracer()->digest();
-}
-
-TEST(Fabric, SingleSegmentTopologyIsBitIdenticalToDefault) {
-  MachineOptions defaulted;
-  defaulted.config.num_clusters = 3;
-
-  MachineOptions explicit_topo;
-  explicit_topo.WithTopology(Topology::SingleSegment(3));
-
-  EXPECT_EQ(BootDigest(defaulted), BootDigest(explicit_topo));
-}
-
-TEST(Fabric, MachineRejectsClusterCountDisagreement) {
-  MachineOptions options;
-  options.config.topology = Topology::Uniform(2, 2);  // 4 clusters
-  options.config.num_clusters = 5;                    // bypassing WithTopology
-  EXPECT_DEATH(Machine{options}, "single source of truth|keeps them in sync");
-}
-
 TEST(Fabric, PlacementRejectsBackupInOtherSegment) {
   MachineOptions options;
   options.WithTopology(Topology::Uniform(2, 2));
@@ -336,7 +309,7 @@ buf: .word 0
 TEST(Fabric, FourSegment64ClusterMachineBootsAndServes) {
   MachineOptions options;
   options.WithTopology(Topology::Uniform(4, 16));
-  ASSERT_EQ(options.config.num_clusters, 64u);
+  ASSERT_EQ(options.config.topology.num_clusters(), 64u);
   Machine machine(options);
   machine.Boot();
   EXPECT_EQ(machine.bus().num_segments(), 4u);

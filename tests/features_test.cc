@@ -12,7 +12,7 @@ namespace {
 
 MachineOptions TwoClusters() {
   MachineOptions options;
-  options.config.num_clusters = 2;
+  options.config.topology = Topology::SingleSegment(2);
   return options;
 }
 

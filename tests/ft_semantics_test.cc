@@ -16,7 +16,7 @@ namespace {
 
 MachineOptions TwoClusters() {
   MachineOptions options;
-  options.config.num_clusters = 2;
+  options.config.topology = Topology::SingleSegment(2);
   return options;
 }
 
@@ -185,7 +185,7 @@ loop:
 TEST(FtSemantics, IncrementalCheckpointShipsLessThanFull) {
   auto run = [](FtStrategy strategy) {
     MachineOptions options;
-    options.config.num_clusters = 2;
+    options.config.topology = Topology::SingleSegment(2);
     options.config.strategy = strategy;
     Machine machine(options);
     machine.Boot();
@@ -269,7 +269,7 @@ TEST(FtSemantics, SuppressionNeverResendsAfterRecovery) {
   // failure-free count — no message is received twice.
   auto run = [](bool crash) {
     MachineOptions options;
-    options.config.num_clusters = 2;
+    options.config.topology = Topology::SingleSegment(2);
     Machine machine(options);
     machine.Boot();
     Executable prog = MustAssemble(R"(

@@ -13,7 +13,7 @@ namespace {
 
 MachineOptions ThreeClusters() {
   MachineOptions options;
-  options.config.num_clusters = 3;
+  options.config.topology = Topology::SingleSegment(3);
   return options;
 }
 
@@ -188,7 +188,7 @@ buf: .space 4
 
 TEST(Fullback, PlacementAvoidsCrashedAndSelfClusters) {
   MachineOptions options;
-  options.config.num_clusters = 4;
+  options.config.topology = Topology::SingleSegment(4);
   Machine machine(options);
   machine.Boot();
   Machine::UserSpawnOptions opts;

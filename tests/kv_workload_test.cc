@@ -24,7 +24,7 @@ KvOptions SmallOptions() {
 
 MachineOptions SmallMachine() {
   MachineOptions options;
-  options.config.num_clusters = 4;
+  options.config.topology = Topology::SingleSegment(4);
   options.seed = 7;
   options.trace.enabled = true;
   options.trace.unbounded = true;

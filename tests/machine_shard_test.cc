@@ -57,7 +57,7 @@ constexpr PinnedScenario kPinnedFile = {3, 0x842b7d004c46a275ull, 3710, 588760};
 
 PinnedRun BootAndRun(uint32_t clusters, uint64_t seed) {
   MachineOptions mo;
-  mo.config.num_clusters = clusters;
+  mo.config.topology = Topology::SingleSegment(clusters);
   mo.seed = seed;
   mo.trace.enabled = true;
   mo.trace.unbounded = false;
@@ -105,7 +105,7 @@ TEST(MachineShards, CampaignFamiliesMatchPinned) {
 
 TEST(MachineShards, ShardPlanDescribesTheLayout) {
   MachineOptions mo;
-  mo.config.num_clusters = 4;
+  mo.config.topology = Topology::SingleSegment(4);
   Machine machine(mo);
   EXPECT_EQ(machine.shard_plan().num_shards, 5u);
   EXPECT_EQ(machine.shard_plan().shard_of_cluster(2), 3u);

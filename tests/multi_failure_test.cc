@@ -18,7 +18,7 @@ namespace {
 
 MachineOptions FourClusters() {
   MachineOptions options;
-  options.config.num_clusters = 4;
+  options.config.topology = Topology::SingleSegment(4);
   options.config.sync_reads_limit = 4;
   options.trace.enabled = true;
   options.trace.unbounded = true;

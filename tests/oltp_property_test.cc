@@ -115,7 +115,7 @@ out: .space 4
 
 std::string RunBank(ClusterId crash_cluster, SimTime crash_at, bool* completed) {
   MachineOptions options;
-  options.config.num_clusters = 2;
+  options.config.topology = Topology::SingleSegment(2);
   options.config.sync_reads_limit = 5;  // sync often enough to matter
   Machine machine(options);
   machine.Boot();
@@ -137,7 +137,7 @@ std::string RunBank(ClusterId crash_cluster, SimTime crash_at, bool* completed) 
   if (crash_cluster == tty_primary_at_crash && crash_at != 0) {
     // The tty server itself died: §7.9 allows re-emission of requests
     // serviced since its last explicit sync. Bounded by the sync interval.
-    EXPECT_LE(machine.TtyDuplicates(), machine.config().num_clusters * 8u);
+    EXPECT_LE(machine.TtyDuplicates(), machine.config().topology.num_clusters() * 8u);
   } else {
     // User-process recovery alone never duplicates device output (§5.4).
     EXPECT_EQ(machine.TtyDuplicates(), 0u);

@@ -116,7 +116,7 @@ std::string RunFleet(uint64_t seed, bool crash, ClusterId crash_cluster, SimTime
                      bool* completed, uint64_t* duplicates) {
   Fleet fleet = MakeFleet(seed);
   MachineOptions options;
-  options.config.num_clusters = 3;
+  options.config.topology = Topology::SingleSegment(3);
   options.config.sync_reads_limit = 4;
   options.seed = seed;
   Machine machine(options);

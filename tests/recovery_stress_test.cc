@@ -43,7 +43,7 @@ TEST(RecoveryStress, GettimeAcrossProcessServerTakeover) {
   // dies; the recovered PS must service the saved request (reply possibly
   // suppressed if already sent) and the worker completes.
   MachineOptions options;
-  options.config.num_clusters = 2;
+  options.config.topology = Topology::SingleSegment(2);
   Machine machine(options);
   machine.Boot();
   Executable prog = MustAssemble(R"(
@@ -77,7 +77,7 @@ bad:
 
 TEST(RecoveryStress, FileWriteAcrossFileServerTakeover) {
   MachineOptions options;
-  options.config.num_clusters = 2;
+  options.config.topology = Topology::SingleSegment(2);
   options.file_server.sync_every_ops = 4;
   Machine machine(options);
   machine.Boot();
@@ -139,7 +139,7 @@ TEST(RecoveryStress, SecondCrashDuringRollforward) {
   // 1 is still rolling forward, cluster 1 dies too. The replacement backup
   // in cluster 0 must carry it home. (Sequential single failures, §3.1.)
   MachineOptions options;
-  options.config.num_clusters = 3;
+  options.config.topology = Topology::SingleSegment(3);
   Machine machine(options);
   machine.Boot();
   Machine::UserSpawnOptions opts;
@@ -165,7 +165,7 @@ TEST(RecoveryStress, CrashWhilePageServerServesRecovery) {
   // rollforward pages in from the page-server *backup* that took over in
   // cluster 0 — takeover and demand paging interleave.
   MachineOptions options;
-  options.config.num_clusters = 2;
+  options.config.topology = Topology::SingleSegment(2);
   Machine machine(options);
   machine.Boot();
   Machine::UserSpawnOptions opts;
@@ -184,7 +184,7 @@ TEST(RecoveryStress, CrashWhilePageServerServesRecovery) {
 
 TEST(RecoveryStress, ManyProcessesRecoverTogether) {
   MachineOptions options;
-  options.config.num_clusters = 3;
+  options.config.topology = Topology::SingleSegment(3);
   Machine machine(options);
   machine.Boot();
   std::vector<Gpid> pids;

@@ -107,7 +107,7 @@ out: .space 4
 
 TEST(Scale, SixteenClusterRingWithCrash) {
   MachineOptions options;
-  options.config.num_clusters = 16;
+  options.config.topology = Topology::SingleSegment(16);
   Machine machine(options);
   machine.Boot();
 
@@ -137,7 +137,7 @@ TEST(Scale, SixteenClusterRingWithCrash) {
 
 TEST(Scale, ThirtyTwoClustersBootAndRun) {
   MachineOptions options;
-  options.config.num_clusters = 32;
+  options.config.topology = Topology::SingleSegment(32);
   Machine machine(options);
   machine.Boot();
   std::vector<Gpid> pids;

@@ -80,16 +80,16 @@ TEST(SyncPolicyValidation, RejectsBadPolicies) {
 
 TEST(PlacementValidation, AcceptsDefaultsAndRotatedShards) {
   MachineOptions options;
-  options.config.num_clusters = 2;
+  options.config.topology = Topology::SingleSegment(2);
   EXPECT_EQ(options.Validate(), "");
-  options.config.num_clusters = 4;
+  options.config.topology = Topology::SingleSegment(4);
   options.config.page_shards = 4;
   EXPECT_EQ(options.Validate(), "");
 }
 
 TEST(PlacementValidation, RejectsPrimaryEqualsBackup) {
   MachineOptions options;
-  options.config.num_clusters = 2;
+  options.config.topology = Topology::SingleSegment(2);
   options.placement.file = ClusterPair{1, 1};
   std::string err = options.Validate();
   EXPECT_NE(err.find("file server"), std::string::npos) << err;
@@ -98,7 +98,7 @@ TEST(PlacementValidation, RejectsPrimaryEqualsBackup) {
 
 TEST(PlacementValidation, RejectsOutOfRangeCluster) {
   MachineOptions options;
-  options.config.num_clusters = 2;
+  options.config.topology = Topology::SingleSegment(2);
   options.placement.tty = ClusterPair{5, 1};
   std::string err = options.Validate();
   EXPECT_NE(err.find("tty server"), std::string::npos) << err;
@@ -108,7 +108,7 @@ TEST(PlacementValidation, RejectsOutOfRangeCluster) {
 TEST(PlacementValidation, RejectsServerOffItsDiskPorts) {
   // §7.9: the file server (and its backup) must sit on a port of its disk.
   MachineOptions options;
-  options.config.num_clusters = 4;
+  options.config.topology = Topology::SingleSegment(4);
   options.placement.file = ClusterPair{2, 3};
   options.placement.file_disk = ClusterPair{0, 1};
   std::string err = options.Validate();
@@ -117,19 +117,39 @@ TEST(PlacementValidation, RejectsServerOffItsDiskPorts) {
 
 TEST(PlacementValidation, NonFtSkipsBackupConstraints) {
   MachineOptions options;
-  options.config.num_clusters = 1;
+  options.config.topology = Topology::SingleSegment(2);
   options.config.strategy = FtStrategy::kNone;
   // Backups and disk ports are unused without FT; only primaries must be in
-  // range, so a one-cluster machine validates once primaries are moved there.
+  // range, so a backup sharing its primary's cluster or naming a cluster the
+  // machine does not have validates.
   options.placement.file = ClusterPair{0, 0};
-  options.placement.page = ClusterPair{0, 1};
+  options.placement.page = ClusterPair{1, 7};
   EXPECT_EQ(options.Validate(), "");
+  options.config.strategy = FtStrategy::kMessageSystem;
+  EXPECT_NE(options.Validate(), "");
+}
+
+TEST(PlacementValidation, RejectsSegmentsOutsideThePaperMachine) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  // The topology is checked before the placement, with or without the
+  // message system: a shape the Machine constructor rejects is reported by
+  // Validate() too, even when the placement alone would pass (no FT, every
+  // primary on cluster 0).
+  for (uint32_t n : {1u, 33u}) {
+    MachineOptions options;
+    options.config.topology = Topology::SingleSegment(n);
+    options.config.strategy = FtStrategy::kNone;
+    options.placement.page = ClusterPair{0, 1};
+    const std::string err = options.Validate();
+    EXPECT_NE(err.find("2..32"), std::string::npos) << n << " clusters: " << err;
+    EXPECT_DEATH(Machine{options}, "2\\.\\.32");
+  }
 }
 
 TEST(PlacementValidation, BootDiesOnInvalidOptions) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   MachineOptions options;
-  options.config.num_clusters = 2;
+  options.config.topology = Topology::SingleSegment(2);
   options.placement.page = ClusterPair{0, 0};
   Machine machine(options);
   EXPECT_DEATH(machine.Boot(), "invalid MachineOptions");
@@ -138,13 +158,13 @@ TEST(PlacementValidation, BootDiesOnInvalidOptions) {
 TEST(PlacementValidation, FluentBuilderComposes) {
   MachineOptions options = MachineOptions()
                                .WithSeed(7)
-                               .WithClusters(4)
+                               .WithTopology(Topology::SingleSegment(4))
                                .WithSyncMode(SyncMode::kIncrementalAsync)
                                .WithAdaptiveSync()
                                .WithSyncLimits(16, 30000)
                                .WithPageShards(2);
   EXPECT_EQ(options.seed, 7u);
-  EXPECT_EQ(options.config.num_clusters, 4u);
+  EXPECT_EQ(options.config.topology.num_clusters(), 4u);
   EXPECT_EQ(options.config.sync_policy.mode, SyncMode::kIncrementalAsync);
   EXPECT_TRUE(options.config.sync_policy.adaptive);
   EXPECT_EQ(options.config.sync_reads_limit, 16u);
@@ -197,7 +217,7 @@ TEST(GuestMemoryGenerations, FullCaptureShipsEveryResidentPage) {
 
 MachineOptions SyncTestOptions(SyncMode mode) {
   MachineOptions options;
-  options.config.num_clusters = 2;
+  options.config.topology = Topology::SingleSegment(2);
   options.config.sync_policy.mode = mode;
   return options;
 }
@@ -327,7 +347,7 @@ TEST(AsyncFlush, RedirtiedPageReachesPageServerNextIncrement) {
 TEST(AsyncFlush, SurvivesPrimaryCrashMidWorkload) {
   for (SimTime crash_at : {30'000, 60'000, 120'000}) {
     MachineOptions options = SyncTestOptions(SyncMode::kIncrementalAsync);
-    options.config.num_clusters = 3;
+    options.config.topology = Topology::SingleSegment(3);
     Machine machine(options);
     machine.Boot();
     Machine::UserSpawnOptions opts;
@@ -397,7 +417,7 @@ TEST(SyncAnalysis, FlushEventsFeedTheStatsHistograms) {
 
 TEST(PageSharding, ShardsPlaceRotatedAndServePages) {
   MachineOptions options;
-  options.config.num_clusters = 4;
+  options.config.topology = Topology::SingleSegment(4);
   options.config.page_shards = 3;
   Machine machine(options);
   machine.Boot();
@@ -423,7 +443,7 @@ TEST(PageSharding, ShardsPlaceRotatedAndServePages) {
 
 TEST(PageSharding, ShardPrimaryCrashFailsOverAndRebacksOnRestore) {
   MachineOptions options;
-  options.config.num_clusters = 4;
+  options.config.topology = Topology::SingleSegment(4);
   options.config.page_shards = 2;
   options.config.sync_policy.mode = SyncMode::kIncrementalAsync;
   Machine machine(options);

@@ -218,7 +218,7 @@ TEST(Trace, HistogramBucketsAndStats) {
 
 MachineOptions LatencyOptions() {
   MachineOptions options;
-  options.config.num_clusters = 2;
+  options.config.topology = Topology::SingleSegment(2);
   return options;
 }
 

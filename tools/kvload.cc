@@ -175,16 +175,13 @@ int main(int argc, char** argv) {
   }
 
   MachineOptions options;
-  options.config.num_clusters = clusters;
-  if (segments > 1) {
-    if (clusters % segments != 0) {
-      std::fprintf(stderr, "kvload: --clusters %u does not divide into --segments %u\n",
-                   clusters, segments);
-      return 2;
-    }
-    options.WithTopology(Topology::Uniform(segments, clusters / segments)
-                             .WithSwitchLatency(switch_latency_us));
+  if (segments < 1 || clusters % segments != 0) {
+    std::fprintf(stderr, "kvload: --clusters %u does not divide into --segments %u\n",
+                 clusters, segments);
+    return 2;
   }
+  options.WithTopology(Topology::Uniform(segments, clusters / segments)
+                           .WithSwitchLatency(switch_latency_us));
   options.config.strategy = strategy;
   options.config.sync_policy = sync_policy;
   if (sync_reads_limit != 0) options.config.sync_reads_limit = sync_reads_limit;

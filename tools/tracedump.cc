@@ -50,7 +50,7 @@ int Usage() {
 int Capture(const std::string& path, uint64_t seed, bool crash, bool all_kinds,
             size_t ring) {
   MachineOptions options;
-  options.config.num_clusters = 3;
+  options.config.topology = Topology::SingleSegment(3);
   options.seed = seed;
   options.trace.enabled = true;
   options.trace.unbounded = ring == 0;
