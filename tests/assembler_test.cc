@@ -178,6 +178,9 @@ TEST(Executable, SerializationRoundTrip) {
   Executable back = Executable::Deserialize(r);
   EXPECT_EQ(back.image, exe.image);
   EXPECT_EQ(back.entry, exe.entry);
+  // Pinned: {entry u32, image blob}.
+  EXPECT_EQ(HexDump(w.bytes(), 64),
+            "00 00 00 00 10 00 00 00 10 01 00 00 09 00 00 00 01 00 00 00 00 00 00 00");
 }
 
 }  // namespace

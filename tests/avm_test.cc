@@ -234,6 +234,9 @@ TEST(Cpu, ContextSerializationRoundTrip) {
   ByteReader r(w.bytes());
   CpuContext back = CpuContext::Deserialize(r);
   EXPECT_TRUE(ctx == back);
+  // Pinned: the register file in order, then pc, each a little-endian u32.
+  EXPECT_EQ(Fnv1a(w.bytes()), 10386114563111378129ull);
+  EXPECT_EQ(w.size(), 4u * (kAvmNumRegs + 1));
 }
 
 TEST(Cpu, PageFaultHasNoSideEffects) {

@@ -450,5 +450,132 @@ TEST(ProcessServer, StaleTimerFireIsIgnored) {
   EXPECT_TRUE(h.sent.empty());
 }
 
+// ------------------------------------------------------- pinned layouts
+//
+// Expected values are the output of the encoders as they stood before the
+// layouts were declared once. Small layouts are pinned as hex; server state
+// is pinned by FNV-1a over the bytes a fixed scenario produces.
+
+std::string Hex(ByteView b) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (uint8_t v : b) {
+    out.push_back(kDigits[v >> 4]);
+    out.push_back(kDigits[v & 0xf]);
+  }
+  return out;
+}
+
+Bytes FromHex(std::string_view hex) {
+  Bytes out;
+  for (size_t i = 0; i + 1 < hex.size(); i += 2) {
+    out.push_back(static_cast<uint8_t>(std::stoi(std::string(hex.substr(i, 2)), nullptr, 16)));
+  }
+  return out;
+}
+
+uint64_t StateHash(const NativeProgram& program) {
+  ByteWriter w;
+  program.SerializeState(w);
+  return Fnv1a(w.bytes());
+}
+
+TEST(ServersPinned, OpenRequest) {
+  EXPECT_EQ(Hex(OpenMsg("ch:x", 5)),
+            "0105000000000000000400000063683a782a000000000001000100000000"
+            "00000000");
+}
+
+TEST(ServersPinned, PageServerStateAndServerSync) {
+  PageServerOptions options;
+  options.sync_every_ops = 3;
+  PageServerProgram ps(options);
+  ProgramHarness h(ps);
+  h.Push(kChan, kUser, kBindPageChannel, MsgKind::kPageWrite, PageWriteMsg(kUser, 1, 1));
+  h.Push(kChan, kUser, kBindPageChannel, MsgKind::kPageWrite, PageWriteMsg(kUser, 2, 2));
+  h.Push(kChan, kUser, kBindPageChannel, MsgKind::kSync, SyncMsg(kUser));
+  h.Push(kChan + 1, kUser, kBindPageChannel, MsgKind::kPageWrite, PageWriteMsg(kUser, 2, 3));
+  h.Drain();
+  ASSERT_EQ(h.server_syncs.size(), 1u);
+  EXPECT_EQ(Fnv1a(h.server_syncs[0]), 10002262319078931287ull);
+  EXPECT_EQ(StateHash(ps), 8101027895166833095ull);
+  ByteWriter w;
+  ps.SerializeState(w);
+  PageServerProgram restored(options);
+  ByteReader r(w.bytes());
+  restored.RestoreState(r);
+  EXPECT_EQ(restored.blocks_in_use(), ps.blocks_in_use());
+  EXPECT_EQ(StateHash(restored), StateHash(ps));
+}
+
+TEST(ServersPinned, ProcessServerState) {
+  ProcessServerProgram ps;
+  ProgramHarness h(ps);
+  h.now = 10'000;
+  h.Push(kChan, kUser, kBindProcChannel, MsgKind::kUser,
+         EncodeTaggedU64(ReqTag::kAlarm, 50'000));
+  h.Push(kChan, Gpid::Make(2, 9), kBindProcChannel, MsgKind::kUser,
+         EncodeTaggedU64(ReqTag::kAlarm, 7'000));
+  h.Push(kChan, kUser, kBindProcChannel, MsgKind::kUser, EncodeTagged(ReqTag::kTime));
+  h.Drain();
+  EXPECT_EQ(StateHash(ps), 7691880579990613787ull);
+}
+
+TEST(ServersPinned, TtyServerStateEmitAndServerSync) {
+  TtyServerOptions options;
+  options.sync_every_ops = 3;
+  TtyServerProgram tty(options);
+  ProgramHarness h(tty);
+  h.Push(kChan, kUser, kBindTtyLineBase + 0, MsgKind::kUser, EncodeTagged(ReqTag::kTtyBind));
+  h.Push(kChan + 1, kUser, kBindTtyLineBase + 1, MsgKind::kUser,
+         EncodeTaggedBlob(ReqTag::kTtyWrite, Bytes{'o', 'k'}));
+  h.Push(kChan + 1, kUser, kBindTtyLineBase + 1, MsgKind::kUser,
+         EncodeTaggedBlob(ReqTag::kTtyWrite, Bytes{'!'}));
+  h.Push(kChan + 1, kUser, kBindTtyLineBase + 1, MsgKind::kUser,
+         EncodeTaggedBlob(ReqTag::kTtyWrite, Bytes{'?'}));
+  h.Drain();
+  ASSERT_EQ(h.tty_emits.size(), 3u);
+  EXPECT_EQ(Hex(h.tty_emits[0]), "010000000100000000000000020000006f6b");
+  ASSERT_EQ(h.server_syncs.size(), 1u);
+  EXPECT_EQ(Hex(h.server_syncs[0]),
+            "020000000700000000000100010000000800000000000100020000003c00"
+            "0000020000000000000007000000000001002a0000000000010000000000"
+            "000000000100000008000000000001002a00000000000100020000000000"
+            "0000");
+  EXPECT_EQ(StateHash(tty), 5918164365335329991ull);
+}
+
+TEST(ServersPinned, TtyServerReadsDeviceInput) {
+  TtyServerProgram tty(TtyServerOptions{});
+  ProgramHarness h(tty);
+  h.Push(kChan, kUser, kBindTtyLineBase + 3, MsgKind::kUser, EncodeTagged(ReqTag::kTtyBind));
+  h.Drain();
+  // {kDevInput u8, line u32 = 3, text blob "hi"}.
+  h.Push(99, kUser, kBindSelfChannel, MsgKind::kUser, FromHex("5103000000020000006869"));
+  h.Deliver();
+  ASSERT_EQ(h.sent.size(), 1u);
+  EXPECT_EQ(h.sent[0].channel, kChan);
+  EXPECT_EQ(Hex(h.sent[0].payload), "21020000006869");
+}
+
+TEST(ServersPinned, FileServerRuntimeStateAndServerSync) {
+  FileServerOptions options;
+  options.sync_every_ops = 3;
+  FileServerProgram fs(options);
+  ProgramHarness h(fs);
+  h.Drain();
+  h.Push(kChan, kUser, kBindFsChannel, MsgKind::kUser, OpenMsg("f"));
+  h.Deliver();
+  OpenReplyBody reply = OpenReplyBody::Decode(h.sent.back().payload);
+  h.Push(reply.channel.value, kUser, 0, MsgKind::kUser,
+         EncodeTaggedBlob(ReqTag::kFileWrite, Bytes(10, 7)));
+  h.Push(kChan, kUser, kBindFsChannel, MsgKind::kUser, OpenMsg("ch:duo", 9));
+  h.Deliver();
+  ASSERT_EQ(h.server_syncs.size(), 2u);  // the format commit, then ours
+  EXPECT_EQ(Fnv1a(h.server_syncs[1]), 11242128682437613568ull);
+  // The snapshot omits the pending ch:duo open the sync above carries.
+  EXPECT_EQ(StateHash(fs), 1657421951531118271ull);
+}
+
 }  // namespace
 }  // namespace auragen
