@@ -25,19 +25,9 @@ struct CpuContext {
   uint32_t regs[kAvmNumRegs] = {};
   uint32_t pc = 0;
 
-  void Serialize(ByteWriter& w) const {
-    for (uint32_t r : regs) {
-      w.U32(r);
-    }
-    w.U32(pc);
-  }
-  static CpuContext Deserialize(ByteReader& r) {
-    CpuContext c;
-    for (uint32_t& reg : c.regs) {
-      reg = r.U32();
-    }
-    c.pc = r.U32();
-    return c;
+  template <class F>
+  void Fields(F& f) {
+    f(regs, pc);
   }
   friend bool operator==(const CpuContext& a, const CpuContext& b) {
     for (uint32_t i = 0; i < kAvmNumRegs; ++i) {

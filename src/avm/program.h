@@ -36,15 +36,9 @@ struct Executable {
     return out;
   }
 
-  void Serialize(ByteWriter& w) const {
-    w.U32(entry);
-    w.Blob(image);
-  }
-  static Executable Deserialize(ByteReader& r) {
-    Executable e;
-    e.entry = r.U32();
-    e.image = r.Blob();
-    return e;
+  template <class F>
+  void Fields(F& f) {
+    f(entry, image);
   }
 };
 

@@ -17,9 +17,12 @@
 
 #include <cstdint>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "src/base/check.h"
@@ -115,6 +118,11 @@ class ByteWriter {
   void U64(uint64_t v) { AppendLe(v); }
   void I64(int64_t v) { AppendLe(static_cast<uint64_t>(v)); }
   void I32(int32_t v) { AppendLe(static_cast<uint32_t>(v)); }
+  // Any integer at its declared width.
+  template <typename T>
+  void Int(T v) {
+    AppendLe(static_cast<std::make_unsigned_t<T>>(v));
+  }
 
   // Length-prefixed (u32) byte blob.
   void Blob(const uint8_t* data, size_t size) {
@@ -154,6 +162,10 @@ class ByteReader {
   uint64_t U64() { return ReadLe<uint64_t>(); }
   int32_t I32() { return static_cast<int32_t>(ReadLe<uint32_t>()); }
   int64_t I64() { return static_cast<int64_t>(ReadLe<uint64_t>()); }
+  template <typename T>
+  T Int() {
+    return static_cast<T>(ReadLe<std::make_unsigned_t<T>>());
+  }
 
   Bytes Blob() {
     uint32_t n = U32();
@@ -198,6 +210,198 @@ class ByteReader {
   size_t size_;
   size_t pos_ = 0;
 };
+
+// --- Declared-once layouts (DESIGN.md §13) ---
+//
+// A struct that crosses the bus lists its fields once, in wire order:
+//
+//   template <class F> void Fields(F& f) { f(pid, page, content); }
+//
+// FieldWriter and FieldReader derive the writer and the reader from that
+// one list, so the two cannot disagree. The width rules:
+//   * integers keep their declared width, little-endian;
+//   * bool takes one byte, an enum its underlying type's width;
+//   * {uint64_t value} ids (Gpid, ChannelId) take eight bytes;
+//   * Bytes and std::string are u32-length-prefixed blobs;
+//   * std::vector and std::map are a u32 count followed by the elements, a
+//     map element being its key then its value; std::pair is first then
+//     second; a fixed array is its elements with no count;
+//   * AsBlob{x} is a blob holding x's own encoding;
+//   * any other struct is written through its own Fields list.
+
+template <typename T>
+struct AsBlob {
+  T& value;
+};
+template <typename T>
+AsBlob(T&) -> AsBlob<T>;
+
+template <typename T>
+concept U64Id = std::is_class_v<T> && sizeof(T) == sizeof(uint64_t) &&
+                requires(T v) { requires std::is_same_v<decltype(v.value), uint64_t>; };
+
+template <typename T>
+inline constexpr bool kIsPair = false;
+template <typename A, typename B>
+inline constexpr bool kIsPair<std::pair<A, B>> = true;
+
+template <typename T>
+inline constexpr bool kIsVector = false;
+template <typename E, typename A>
+inline constexpr bool kIsVector<std::vector<E, A>> = true;
+
+template <typename T>
+inline constexpr bool kIsMap = false;
+template <typename K, typename V, typename C, typename A>
+inline constexpr bool kIsMap<std::map<K, V, C, A>> = true;
+
+template <typename T>
+inline constexpr bool kIsAsBlob = false;
+template <typename T>
+inline constexpr bool kIsAsBlob<AsBlob<T>> = true;
+
+class FieldWriter {
+ public:
+  explicit FieldWriter(ByteWriter& w) : w_(w) {}
+
+  template <typename... T>
+  void operator()(const T&... v) {
+    (Put(v), ...);
+  }
+
+ private:
+  template <typename T>
+  void Put(const T& v) {
+    if constexpr (std::is_same_v<T, bool>) {
+      w_.U8(v ? 1 : 0);
+    } else if constexpr (std::is_enum_v<T>) {
+      w_.Int(static_cast<std::underlying_type_t<T>>(v));
+    } else if constexpr (std::is_integral_v<T>) {
+      w_.Int(v);
+    } else if constexpr (U64Id<T>) {
+      w_.U64(v.value);
+    } else if constexpr (std::is_same_v<T, Bytes>) {
+      w_.Blob(v);
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      w_.Str(v);
+    } else if constexpr (kIsAsBlob<T>) {
+      ByteWriter nested;
+      FieldWriter inner(nested);
+      inner(v.value);
+      w_.Blob(nested.bytes());
+    } else if constexpr (std::is_array_v<T>) {
+      for (const auto& e : v) {
+        Put(e);
+      }
+    } else if constexpr (kIsPair<T>) {
+      Put(v.first);
+      Put(v.second);
+    } else if constexpr (kIsVector<T> || kIsMap<T>) {
+      w_.U32(static_cast<uint32_t>(v.size()));
+      for (const auto& e : v) {
+        Put(e);
+      }
+    } else {
+      // Fields is one non-const list shared with the reader; the writer
+      // only reads through it.
+      const_cast<T&>(v).Fields(*this);
+    }
+  }
+
+  ByteWriter& w_;
+};
+
+class FieldReader {
+ public:
+  explicit FieldReader(ByteReader& r) : r_(r) {}
+
+  // Forwarding references so that AsBlob wrappers can be passed in place.
+  template <typename... T>
+  void operator()(T&&... v) {
+    (Get(v), ...);
+  }
+
+ private:
+  template <typename T>
+  void Get(T& v) {
+    if constexpr (std::is_same_v<T, bool>) {
+      v = r_.U8() != 0;
+    } else if constexpr (std::is_enum_v<T>) {
+      v = static_cast<T>(r_.Int<std::underlying_type_t<T>>());
+    } else if constexpr (std::is_integral_v<T>) {
+      v = r_.Int<T>();
+    } else if constexpr (U64Id<T>) {
+      v.value = r_.U64();
+    } else if constexpr (std::is_same_v<T, Bytes>) {
+      v = r_.Blob();
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      v = r_.Str();
+    } else if constexpr (kIsAsBlob<T>) {
+      ByteReader nested(r_.BlobView());
+      FieldReader inner(nested);
+      inner(v.value);
+    } else if constexpr (std::is_array_v<T>) {
+      for (auto& e : v) {
+        Get(e);
+      }
+    } else if constexpr (kIsPair<T>) {
+      Get(v.first);
+      Get(v.second);
+    } else if constexpr (kIsVector<T>) {
+      v.resize(r_.U32());
+      for (auto& e : v) {
+        Get(e);
+      }
+    } else if constexpr (kIsMap<T>) {
+      v.clear();
+      for (uint32_t n = r_.U32(); n > 0; --n) {
+        std::pair<typename T::key_type, typename T::mapped_type> e;
+        Get(e);
+        v.insert_or_assign(v.end(), std::move(e.first), std::move(e.second));
+      }
+    } else {
+      v.Fields(*this);
+    }
+  }
+
+  ByteReader& r_;
+};
+
+// Appends `v...` to `w`, back to back.
+template <typename... T>
+void EncodeTo(ByteWriter& w, const T&... v) {
+  FieldWriter f(w);
+  f(v...);
+}
+
+// Encodes `v...` back to back into one buffer drawn from the BufferPool.
+template <typename... T>
+Bytes Encode(const T&... v) {
+  ByteWriter w;
+  EncodeTo(w, v...);
+  return w.Take();
+}
+
+// Reads `v...` from `r`'s position onwards, in order.
+template <typename... T>
+void DecodeInto(ByteReader& r, T&&... v) {
+  FieldReader f(r);
+  f(v...);
+}
+
+template <typename T>
+T Decode(ByteReader& r) {
+  T v;
+  DecodeInto(r, v);
+  return v;
+}
+
+// Decodes a T from the front of `bytes`.
+template <typename T>
+T Decode(ByteView bytes) {
+  ByteReader r(bytes);
+  return Decode<T>(r);
+}
 
 // FNV-1a over a byte range; used by the bus model's corruption detection and
 // by tests comparing state snapshots.

@@ -33,10 +33,7 @@ void Kernel::BroadcastBackupLocation(Gpid pid, ClusterId cluster) {
   ready.header.kind = MsgKind::kBackupReady;
   ready.header.src_pid = kernel_pid_;
   ready.header.dst_pid = pid;
-  ByteWriter w;
-  w.U64(pid.value);
-  w.U32(cluster);
-  ready.body = w.Take();
+  ready.body = Encode(BackupReadyBody{pid, cluster});
   EnqueueOutgoing(std::move(ready), LiveBroadcastMask());
 }
 
@@ -44,16 +41,14 @@ void Kernel::BroadcastCrashNotice(ClusterId dead) {
   Msg msg;
   msg.header.kind = MsgKind::kCrashNotice;
   msg.header.src_pid = kernel_pid_;
-  ByteWriter w;
-  w.U32(dead);
-  msg.body = w.Take();
+  msg.body = Encode(CrashNoticeBody{dead});
   // Like heartbeats, the notice bypasses the outgoing queue: it must get out
   // even while a previous crash has transmission disabled, and its position
   // in the global bus order is the synchronization point every cluster
   // starts crash handling from (§7.10.1). The freshly dead cluster is still
   // in the mask (peer_alive_ flips in HandleCrashNotice); clusters from
   // *earlier* handled crashes are not.
-  env_.bus().Transmit(id_, LiveBroadcastMask(), msg.Encode());
+  env_.bus().Transmit(id_, LiveBroadcastMask(), Encode(msg));
 }
 
 void Kernel::HandleCrashNotice(ClusterId dead) {
@@ -338,13 +333,12 @@ void Kernel::TakeOver(BackupPcb b) {
   } else if (b.has_sync) {
     p.body = std::make_unique<AvmBody>(Executable{});
   } else {
-    ByteReader r(b.exe);
-    p.exe = Executable::Deserialize(r);
+    p.exe = Decode<Executable>(b.exe);
     p.body = std::make_unique<AvmBody>(p.exe);
   }
 
   if (b.has_sync) {
-    KernelContext kctx = KernelContext::Decode(b.context);
+    KernelContext kctx = Decode<KernelContext>(b.context);
     p.body->RestoreContext(kctx.body_context);
     if (checkpoint_mode) {
       // §2 baseline: state comes from the shipped checkpoint images, not
@@ -502,9 +496,7 @@ void Kernel::CreateReplacementBackup(Pcb& pcb, const Bytes& sync_context) {
   body.context = sync_context;
   body.sig_handler = pcb.sig_handler;
   if (!pcb.is_server && !pcb.ever_synced) {
-    ByteWriter w;
-    pcb.exe.Serialize(w);
-    body.exe = w.Take();
+    body.exe = Encode(pcb.exe);
   }
   for (const auto& [fd, binding] : pcb.fds) {
     body.fds.emplace_back(fd, binding.channel.value);
@@ -531,7 +523,7 @@ void Kernel::CreateReplacementBackup(Pcb& pcb, const Bytes& sync_context) {
       rec.writes_since_sync++;
     }
     for (const QueuedMsg& q : e->queue) {
-      rec.queued.push_back(q.msg.Encode());
+      rec.queued.push_back(Encode(q.msg));
     }
     body.queues.push_back(std::move(rec));
   }
@@ -540,7 +532,7 @@ void Kernel::CreateReplacementBackup(Pcb& pcb, const Bytes& sync_context) {
   create.header.kind = MsgKind::kBackupCreate;
   create.header.src_pid = kernel_pid_;
   create.header.dst_pid = pcb.pid;
-  create.body = body.Encode();
+  create.body = Encode(body);
   env_.metrics().backup_create_bytes += create.body.size();
   if (tracer_ != nullptr) {
     tracer_->Record(TraceEventKind::kBackupShip, id_, pcb.pid.value, 0, 0,
@@ -584,7 +576,7 @@ void Kernel::HandleBackupCreate(const BackupCreateBody& body, ClusterId from) {
       for (const Bytes& m : rec.queued) {
         QueuedMsg q;
         q.arrival_seq = next_arrival_seq_++;
-        q.msg = Msg::Decode(m);
+        q.msg = Decode<Msg>(m);
         e.queue.push_back(std::move(q));
       }
     }
@@ -624,7 +616,7 @@ void Kernel::HandleBackupCreate(const BackupCreateBody& body, ClusterId from) {
     for (const Bytes& m : rec.queued) {
       QueuedMsg q;
       q.arrival_seq = next_arrival_seq_++;
-      q.msg = Msg::Decode(m);
+      q.msg = Decode<Msg>(m);
       e.queue.push_back(std::move(q));
     }
     if (e.binding_tag == kBindSignalChannel) {
@@ -712,10 +704,7 @@ void Kernel::FailProcess(Gpid pid) {
   notice.header.kind = MsgKind::kProcCrash;
   notice.header.src_pid = kernel_pid_;
   notice.header.dst_pid = pid;
-  ByteWriter w;
-  w.U64(pid.value);
-  w.U32(id_);
-  notice.body = w.Take();
+  notice.body = Encode(ProcCrashBody{pid, id_});
   EnqueueOutgoing(std::move(notice), LiveBroadcastMask());
 }
 
@@ -804,7 +793,7 @@ void Kernel::RecreateServerBackup(Gpid pid, ClusterId target) {
     rec.writes_since_sync = e->writes_since_sync;
     // Unserviced requests travel so the new backup's saved queues match.
     for (const QueuedMsg& q : e->queue) {
-      rec.queued.push_back(q.msg.Encode());
+      rec.queued.push_back(Encode(q.msg));
     }
     body.queues.push_back(std::move(rec));
   }
@@ -814,7 +803,7 @@ void Kernel::RecreateServerBackup(Gpid pid, ClusterId target) {
   create.header.kind = MsgKind::kBackupCreate;
   create.header.src_pid = kernel_pid_;
   create.header.dst_pid = pid;
-  create.body = body.Encode();
+  create.body = Encode(body);
   env_.metrics().backup_create_bytes += create.body.size();
   if (tracer_ != nullptr) {
     tracer_->Record(TraceEventKind::kBackupShip, id_, pid.value, 0, 1,
@@ -834,9 +823,8 @@ void Kernel::HandleServerSync(const MsgView& msg) {
     return;
   }
   ByteReader r(msg.body());
-  ServerSyncPrefix prefix = ServerSyncPrefix::Deserialize(r);
-  for (const auto& [chan, count] : prefix.serviced) {
-    RoutingEntry* e = routing_.Find(chan, pcb->pid, /*backup=*/true);
+  for (const auto& [chan, count] : Decode<ServerSyncPrefix>(r).serviced) {
+    RoutingEntry* e = routing_.Find(ChannelId{chan}, pcb->pid, /*backup=*/true);
     if (e == nullptr) {
       continue;
     }

@@ -101,7 +101,7 @@ void Kernel::PumpTransmit() {
       Msg msg = std::move(it->msg);
       ClusterMask targets = it->targets;
       outgoing_.erase(it);
-      env_.bus().Transmit(id_, targets, msg.Encode());
+      env_.bus().Transmit(id_, targets, Encode(msg));
       break;
     }
     PumpTransmit();
@@ -254,7 +254,7 @@ void Kernel::DeliverLocal(const MsgView& msg) {
     if (h.kind == MsgKind::kOpenReply) {
       // §7.4.1: "The arrival of an open reply at a backup cluster causes the
       // creation of the backup routing table entry."
-      OpenReplyBody reply = OpenReplyBody::Decode(msg.body());
+      OpenReplyBody reply = Decode<OpenReplyBody>(msg.body());
       if (reply.status == 0) {
         RoutingEntry* existing = routing_.Find(reply.channel, h.dst_pid, /*backup=*/true);
         if (existing == nullptr) {
@@ -293,7 +293,7 @@ void Kernel::DeliverLocal(const MsgView& msg) {
   if (h.kind == MsgKind::kSync) {
     // Beyond the page-server channel delivery above, a sync message updates
     // the backup PCB when this cluster hosts it (§7.8).
-    SyncRecord record = SyncRecord::Decode(msg.body());
+    SyncRecord record = Decode<SyncRecord>(msg.body());
     if (record.backup_cluster == id_) {
       ExecEnqueue(env_.config().exec_sync_apply_us, [this, record = std::move(record)] {
         ApplySyncAtBackup(record);
@@ -319,7 +319,7 @@ void Kernel::WakeReaders(const RoutingEntry& entry) {
 void Kernel::HandleControl(const MsgView& msg) {
   switch (msg.header.kind) {
     case MsgKind::kChanCreate: {
-      ChanCreate c = ChanCreate::Decode(msg.body());
+      ChanCreate c = Decode<ChanCreate>(msg.body());
       // Never clobber queues/counters of an existing entry: replayed forks
       // and duplicate notices re-announce channels that already carry saved
       // traffic. Only refresh the addressing.
@@ -338,26 +338,21 @@ void Kernel::HandleControl(const MsgView& msg) {
       break;
     }
     case MsgKind::kBirthNotice:
-      HandleBirthNotice(BirthNotice::Decode(msg.body()));
+      HandleBirthNotice(Decode<BirthNotice>(msg.body()));
       break;
     case MsgKind::kExitNotice:
       HandleExitNotice(msg.header.dst_pid);
       break;
-    case MsgKind::kCrashNotice: {
-      ByteReader r(msg.body());
-      HandleCrashNotice(static_cast<ClusterId>(r.U32()));
+    case MsgKind::kCrashNotice:
+      HandleCrashNotice(Decode<CrashNoticeBody>(msg.body()).dead);
       break;
-    }
     case MsgKind::kBackupCreate:
-      HandleBackupCreate(BackupCreateBody::Decode(msg.body()),
+      HandleBackupCreate(Decode<BackupCreateBody>(msg.body()),
                          msg.header.src_pid.origin_cluster());
       break;
     case MsgKind::kBackupReady: {
-      ByteReader r(msg.body());
-      Gpid pid;
-      pid.value = r.U64();
-      ClusterId nb = r.U32();
-      HandleBackupReady(pid, nb, msg.header.src_pid.origin_cluster());
+      BackupReadyBody ready = Decode<BackupReadyBody>(msg.body());
+      HandleBackupReady(ready.pid, ready.cluster, msg.header.src_pid.origin_cluster());
       break;
     }
     case MsgKind::kServerSync:
@@ -367,16 +362,13 @@ void Kernel::HandleControl(const MsgView& msg) {
       ApplyCheckpointAtBackup(msg);
       break;
     case MsgKind::kProcCrash: {
-      ByteReader r(msg.body());
-      Gpid pid;
-      pid.value = r.U64();
-      ClusterId at = r.U32();
-      HandleProcCrash(pid, at);
+      ProcCrashBody crash = Decode<ProcCrashBody>(msg.body());
+      HandleProcCrash(crash.pid, crash.at);
       break;
     }
     case MsgKind::kPageReply:
       if (msg.header.dst_primary_cluster == id_) {
-        HandlePageReply(PageReplyBody::Decode(msg.body()));
+        HandlePageReply(Decode<PageReplyBody>(msg.body()));
       }
       if (msg.header.src_backup_cluster == id_) {
         // Count the page server's reply at its backup (suppression on

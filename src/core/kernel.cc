@@ -53,7 +53,7 @@ void Kernel::HeartbeatTick() {
   // has transmission of regular messages disabled (§7.10.1), and never
   // behind a data backlog — a saturated bus must not read as a dead
   // cluster, or every overload turns into a false takeover.
-  env_.bus().Transmit(id_, others, beat.Encode(), /*urgent=*/true);
+  env_.bus().Transmit(id_, others, Encode(beat), /*urgent=*/true);
   CheckPeers();
   env_.engine().Schedule(env_.config().heartbeat_period_us, [this] { HeartbeatTick(); });
 }

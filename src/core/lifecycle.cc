@@ -59,7 +59,7 @@ void Kernel::CreateChannelPair(Pcb& pcb, Fd fd, ChannelId channel, const ServerA
     msg.header.kind = MsgKind::kChanCreate;
     msg.header.src_pid = kernel_pid_;
     msg.header.dst_pid = c.owner;
-    msg.body = c.Encode();
+    msg.body = Encode(c);
     if (to == id_) {
       // Local fabrication (server in this very cluster): apply directly so
       // ordering against locally-queued work stays trivial.
@@ -146,10 +146,9 @@ void Kernel::CreateKernelChannel(const ServerAddr& server, uint32_t tag) {
     msg.header.kind = MsgKind::kChanCreate;
     msg.header.src_pid = kernel_pid_;
     msg.header.dst_pid = server.pid;
-    msg.body = MakeChanCreate(channel, server.pid, backup_entry, kBadFd, kernel_pid_, id_,
-                              kNoCluster, server.backup, PeerKind::kUserPeer,
-                              BackupMode::kQuarterback, tag)
-                   .Encode();
+    msg.body = Encode(MakeChanCreate(channel, server.pid, backup_entry, kBadFd, kernel_pid_, id_,
+                                     kNoCluster, server.backup, PeerKind::kUserPeer,
+                                     BackupMode::kQuarterback, tag));
     if (to == id_) {
       HandleControl(MsgView::FromOwned(std::move(msg)));
     } else {
@@ -199,15 +198,13 @@ void Kernel::SendBackupSkeleton(const Pcb& pcb) {
   body.has_sync = false;
   body.is_server = pcb.is_server;
   if (!pcb.is_server) {
-    ByteWriter w;
-    pcb.exe.Serialize(w);
-    body.exe = w.Take();
+    body.exe = Encode(pcb.exe);
   }
   Msg msg;
   msg.header.kind = MsgKind::kBackupCreate;
   msg.header.src_pid = kernel_pid_;
   msg.header.dst_pid = pcb.pid;
-  msg.body = body.Encode();
+  msg.body = Encode(body);
   env_.metrics().backup_create_bytes += msg.body.size();
   if (tracer_ != nullptr) {
     tracer_->Record(TraceEventKind::kBackupShip, id_, pcb.pid.value, 0, 2,
@@ -252,7 +249,7 @@ void Kernel::SysFork(Pcb& parent) {
       return;
     }
     for (const Bytes& blob : notice->chan_creates) {
-      chan_ids.push_back(ChanCreate::Decode(blob).channel);
+      chan_ids.push_back(Decode<ChanCreate>(blob).channel);
     }
   } else {
     child_pid = AllocPid();
@@ -288,26 +285,23 @@ void Kernel::SysFork(Pcb& parent) {
   std::vector<Bytes> chan_creates;
   if (fs.valid()) {
     CreateChannelPair(c, 0, chan_ids[0], fs, PeerKind::kServerControl, kBindFsChannel);
-    chan_creates.push_back(MakeChanCreate(chan_ids[0], c.pid, true, 0, fs.pid, fs.primary,
-                                          fs.backup, c.backup_cluster,
-                                          PeerKind::kServerControl, BackupMode::kHalfback,
-                                          kBindNone)
-                               .Encode());
+    chan_creates.push_back(Encode(MakeChanCreate(chan_ids[0], c.pid, true, 0, fs.pid, fs.primary,
+                                                 fs.backup, c.backup_cluster,
+                                                 PeerKind::kServerControl, BackupMode::kHalfback,
+                                                 kBindNone)));
   }
   if (ps.valid()) {
     CreateChannelPair(c, 1, chan_ids[1], ps, PeerKind::kServerControl, kBindProcChannel);
-    chan_creates.push_back(MakeChanCreate(chan_ids[1], c.pid, true, 1, ps.pid, ps.primary,
-                                          ps.backup, c.backup_cluster,
-                                          PeerKind::kServerControl, BackupMode::kHalfback,
-                                          kBindNone)
-                               .Encode());
+    chan_creates.push_back(Encode(MakeChanCreate(chan_ids[1], c.pid, true, 1, ps.pid, ps.primary,
+                                                 ps.backup, c.backup_cluster,
+                                                 PeerKind::kServerControl, BackupMode::kHalfback,
+                                                 kBindNone)));
     CreateChannelPair(c, kBadFd, chan_ids[2], ps, PeerKind::kServerControl,
                       kBindSignalChannel);
-    chan_creates.push_back(MakeChanCreate(chan_ids[2], c.pid, true, kBadFd, ps.pid,
-                                          ps.primary, ps.backup, c.backup_cluster,
-                                          PeerKind::kServerControl, BackupMode::kHalfback,
-                                          kBindSignalChannel)
-                               .Encode());
+    chan_creates.push_back(Encode(MakeChanCreate(chan_ids[2], c.pid, true, kBadFd, ps.pid,
+                                                 ps.primary, ps.backup, c.backup_cluster,
+                                                 PeerKind::kServerControl, BackupMode::kHalfback,
+                                                 kBindSignalChannel)));
   }
   c.next_fd = 3;
 
@@ -334,7 +328,7 @@ void Kernel::SysFork(Pcb& parent) {
     msg.header.kind = MsgKind::kBirthNotice;
     msg.header.src_pid = parent.pid;
     msg.header.dst_pid = child_pid;
-    msg.body = notice_out.Encode();
+    msg.body = Encode(notice_out);
     env_.metrics().birth_notices++;
     EnqueueOutgoing(std::move(msg), MaskOf(c.backup_cluster));
   }

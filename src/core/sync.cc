@@ -213,7 +213,7 @@ void Kernel::ForceSync(Pcb& pcb, bool signal_forced, bool force_synchronous) {
         tracer_->Record(TraceEventKind::kPageShip, id_, pcb.pid.value, 0, page,
                         body.content.size());
       }
-      SendKernelChannel(*page_entry, MsgKind::kPageWrite, body.Encode());
+      SendKernelChannel(*page_entry, MsgKind::kPageWrite, Encode(body));
       enqueue_stall += cfg.sync_page_enqueue_us;
     }
   }
@@ -325,7 +325,7 @@ void Kernel::SendSyncRecord(const SyncRecord& record, RoutingEntry* page_entry) 
     targets |= TargetsOf(*page_entry);
   }
   msg.header.src_backup_cluster = kNoCluster;
-  msg.body = record.Encode();
+  msg.body = Encode(record);
   EnqueueOutgoing(std::move(msg), targets);
 }
 
@@ -374,7 +374,7 @@ void Kernel::FlushStep(uint64_t epoch, uint32_t batch, SimTime cost) {
       tracer_->Record(TraceEventKind::kPageShip, id_, job.pid.value, 0, page,
                       body.content.size());
     }
-    SendKernelChannel(*page_entry, MsgKind::kPageWrite, body.Encode());
+    SendKernelChannel(*page_entry, MsgKind::kPageWrite, Encode(body));
   }
   if (job.cancelled || job.next_page >= job.pages.size()) {
     CompleteFlushJob(job);
@@ -446,7 +446,7 @@ Bytes Kernel::CaptureKernelContext(Pcb& pcb) {
   }
   kctx.fork_seq = pcb.fork_seq;
   kctx.in_signal = pcb.in_signal;
-  return kctx.Encode();
+  return Encode(kctx);
 }
 
 void Kernel::DropClosedBackupChannel(BackupPcb& b, ChannelId channel, Gpid pid, Fd fd) {
@@ -566,7 +566,7 @@ void Kernel::HandlePageFault(Pcb& pcb, PageNum page) {
     tracer_->Record(TraceEventKind::kPageFault, id_, pcb.pid.value, 0, page,
                     req.cookie);
   }
-  SendKernelChannel(*page_entry, MsgKind::kPageRequest, req.Encode());
+  SendKernelChannel(*page_entry, MsgKind::kPageRequest, Encode(req));
 }
 
 void Kernel::HandlePageReply(const PageReplyBody& reply) {
@@ -617,7 +617,7 @@ void Kernel::ReissuePageRequests() {
     req.cookie = next_cookie_++;
     pcb.page_cookie = req.cookie;
     page_waiters_[req.cookie] = pid;
-    SendKernelChannel(*page_entry, MsgKind::kPageRequest, req.Encode());
+    SendKernelChannel(*page_entry, MsgKind::kPageRequest, Encode(req));
   }
 }
 
@@ -627,31 +627,17 @@ void Kernel::ForceCheckpoint(Pcb& pcb) {
   const bool full = env_.config().strategy == FtStrategy::kCheckpointFull;
   Metrics& m = env_.metrics();
 
-  ByteWriter w;
-  w.U64(pcb.pid.value);
-  w.U8(full ? 1 : 0);
-  w.Blob(CaptureKernelContext(pcb));
+  CheckpointBody body;
+  body.pid = pcb.pid;
+  body.full = full;
+  body.context = CaptureKernelContext(pcb);
 
   // Channel records (fd bindings + queue-trim counts), as in sync.
-  std::vector<SyncChannelRecord> records;
   for (RoutingEntry* e : routing_.EntriesOf(pcb.pid, /*backup=*/false)) {
-    SyncChannelRecord rec;
-    rec.channel = e->channel;
-    rec.fd = e->fd;
-    rec.opened_since_sync = e->opened_since_sync;
-    rec.closed_since_sync = e->closed_local;
-    rec.reads_since_sync = e->reads_since_sync;
-    records.push_back(rec);
+    body.channels.push_back({e->channel, e->fd, e->closed_local, e->reads_since_sync});
     e->opened_since_sync = false;
     e->reads_since_sync = 0;
     e->written_since_sync = false;
-  }
-  w.U32(static_cast<uint32_t>(records.size()));
-  for (const SyncChannelRecord& rec : records) {
-    w.U64(rec.channel.value);
-    w.I32(rec.fd);
-    w.U8(rec.closed_since_sync ? 1 : 0);
-    w.U32(rec.reads_since_sync);
   }
 
   // Full: every resident page; incremental: pages dirtied since last
@@ -672,10 +658,8 @@ void Kernel::ForceCheckpoint(Pcb& pcb) {
   } else {
     pages = pcb.body->DirtyPages();
   }
-  w.U32(static_cast<uint32_t>(pages.size()));
   for (PageNum p : pages) {
-    w.U32(p);
-    w.Blob(pcb.body->PageContent(p));
+    body.pages.emplace_back(p, pcb.body->PageContent(p));
   }
   pcb.body->ClearDirty();
 
@@ -683,7 +667,7 @@ void Kernel::ForceCheckpoint(Pcb& pcb) {
   msg.header.kind = MsgKind::kCheckpoint;
   msg.header.src_pid = pcb.pid;
   msg.header.dst_primary_cluster = pcb.backup_cluster;
-  msg.body = w.Take();
+  msg.body = Encode(body);
 
   SimTime stall = env_.config().sync_build_us +
                   env_.config().sync_page_enqueue_us * pages.size() +
@@ -702,11 +686,8 @@ void Kernel::ForceCheckpoint(Pcb& pcb) {
 }
 
 void Kernel::ApplyCheckpointAtBackup(const MsgView& msg) {
-  ByteReader r(msg.body());
-  Gpid pid;
-  pid.value = r.U64();
-  bool full = r.U8() != 0;
-  Bytes context = r.Blob();
+  CheckpointBody body = Decode<CheckpointBody>(msg.body());
+  const Gpid pid = body.pid;
   auto [it, created] = backups_.try_emplace(pid);
   BackupPcb& b = it->second;
   if (created) {
@@ -715,38 +696,31 @@ void Kernel::ApplyCheckpointAtBackup(const MsgView& msg) {
   }
   b.primary_cluster = msg.header.src_pid.origin_cluster();
   b.has_sync = true;
-  b.context = std::move(context);
+  b.context = std::move(body.context);
 
-  uint32_t nrec = r.U32();
-  for (uint32_t i = 0; i < nrec; ++i) {
-    ChannelId chan{r.U64()};
-    Fd fd = r.I32();
-    bool closed = r.U8() != 0;
-    uint32_t reads = r.U32();
-    if (closed) {
-      DropClosedBackupChannel(b, chan, pid, fd);
+  for (const CheckpointChannelRecord& rec : body.channels) {
+    if (rec.closed_since_checkpoint) {
+      DropClosedBackupChannel(b, rec.channel, pid, rec.fd);
       continue;
     }
-    RoutingEntry* entry = routing_.Find(chan, pid, /*backup=*/true);
+    RoutingEntry* entry = routing_.Find(rec.channel, pid, /*backup=*/true);
     if (entry == nullptr) {
       continue;
     }
-    entry->fd = fd;
-    if (fd != kBadFd) {
-      b.fds[fd] = chan;
+    entry->fd = rec.fd;
+    if (rec.fd != kBadFd) {
+      b.fds[rec.fd] = rec.channel;
     }
-    for (uint32_t k = 0; k < reads && !entry->queue.empty(); ++k) {
+    for (uint32_t k = 0; k < rec.reads_since_checkpoint && !entry->queue.empty(); ++k) {
       entry->queue.pop_front();
     }
   }
 
-  if (full) {
+  if (body.full) {
     b.ckpt_pages.clear();
   }
-  uint32_t n = r.U32();
-  for (uint32_t i = 0; i < n; ++i) {
-    PageNum p = r.U32();
-    b.ckpt_pages[p] = r.Blob();
+  for (auto& [page, content] : body.pages) {
+    b.ckpt_pages[page] = std::move(content);
   }
 }
 

@@ -151,7 +151,7 @@ void Kernel::ConsumeMessage(Pcb& pcb, RoutingEntry& entry, int64_t max, bool rea
   const Msg& msg = q.msg;
   if (msg.header.kind == MsgKind::kOpenReply) {
     // Completion of a blocked open(): materialize the new channel.
-    OpenReplyBody reply = OpenReplyBody::Decode(msg.body);
+    OpenReplyBody reply = Decode<OpenReplyBody>(msg.body);
     if (reply.status != 0) {
       CompleteAndReady(pcb, reply.status);
       return;
@@ -218,15 +218,9 @@ void Kernel::ConsumeMessage(Pcb& pcb, RoutingEntry& entry, int64_t max, bool rea
   }
   int64_t rv = has_rv_override ? rv_override : static_cast<int64_t>(payload.size());
   if (read_any) {
-    // Native read-any result: {channel, src pid, binding tag, kind, payload}.
-    ByteWriter w;
-    w.U64(msg.header.channel.value);
-    w.U64(msg.header.src_pid.value);
-    w.U32(entry.binding_tag);
-    w.U8(static_cast<uint8_t>(msg.header.kind));
-    w.Blob(msg.body);
-    payload = w.Take();
     rv = static_cast<int64_t>(msg.body.size());
+    payload = Encode(ReadAnyResult{msg.header.channel.value, msg.header.src_pid,
+                                   entry.binding_tag, msg.header.kind, std::move(q.msg.body)});
   }
   CompleteAndReady(pcb, rv, std::move(payload));
 }
@@ -399,7 +393,7 @@ void Kernel::SysOpen(Pcb& pcb, const SyscallRequest& req) {
   open.opener_cluster = id_;
   open.opener_backup = pcb.backup_cluster;
   open.opener_mode = static_cast<uint8_t>(pcb.mode);
-  SendOnChannel(pcb, *fs, MsgKind::kUser, open.Encode());
+  SendOnChannel(pcb, *fs, MsgKind::kUser, Encode(ReqTag::kOpen, open));
   BlockForReply(pcb, *fs, 0);
 }
 
@@ -735,11 +729,11 @@ void Kernel::DoNativeSyscall(Pcb& pcb, const SyscallRequest& req) {
         // location at boot, when it had none; replies naming the server as
         // peer must carry the kernel's current view or the opener's entries
         // are born pointing at no backup and close instead of failing over.
-        OpenReplyBody reply = OpenReplyBody::Decode(payload);
+        OpenReplyBody reply = Decode<OpenReplyBody>(payload);
         if (reply.status == 0 && reply.peer_pid == pcb.pid) {
           reply.peer_primary_cluster = id_;
           reply.peer_backup_cluster = pcb.backup_cluster;
-          payload = reply.Encode();
+          payload = Encode(reply);
         }
       }
       // req.c != 0: device-input-driven send; see SendOnChannel on counting.
@@ -783,7 +777,7 @@ void Kernel::DoNativeSyscall(Pcb& pcb, const SyscallRequest& req) {
       // A server materializes its own end of a channel it just handed out
       // (file opens, tty sessions), plus the backup entry at its backup
       // cluster. Replayed accepts after server rollforward are idempotent.
-      ChanCreate c = ChanCreate::Decode(req.data);
+      ChanCreate c = Decode<ChanCreate>(req.data);
       RoutingEntry* existing = routing_.Find(c.channel, pcb.pid, /*backup=*/false);
       RoutingEntry& e = existing != nullptr
                             ? *existing
@@ -804,7 +798,7 @@ void Kernel::DoNativeSyscall(Pcb& pcb, const SyscallRequest& req) {
         msg.header.kind = MsgKind::kChanCreate;
         msg.header.src_pid = kernel_pid_;
         msg.header.dst_pid = pcb.pid;
-        msg.body = backup.Encode();
+        msg.body = Encode(backup);
         EnqueueOutgoing(std::move(msg), MaskOf(pcb.backup_cluster));
       }
       CompleteAndReady(pcb, 0);

@@ -69,16 +69,38 @@ struct MsgHeader {
   ClusterId dst_backup_cluster = kNoCluster;
   ClusterId src_backup_cluster = kNoCluster;
 
-  void Serialize(ByteWriter& w) const;
-  static MsgHeader Deserialize(ByteReader& r);
+  template <class F>
+  void Fields(F& f) {
+    f(kind, src_pid, dst_pid, channel, dst_primary_cluster, dst_backup_cluster,
+      src_backup_cluster);
+  }
 };
 
+// Layouts are declared once, as a Fields list (src/base/codec.h): Encode(m)
+// and Decode<Msg>(payload) derive the writer and the reader from it.
 struct Msg {
   MsgHeader header;
   Bytes body;
 
-  Bytes Encode() const;
-  static Msg Decode(ByteView frame_payload);
+  template <class F>
+  void Fields(F& f) {
+    f(header, body);
+  }
+};
+
+// A native server's read-any result (Sys::kRead on kAnyChannel): the oldest
+// message across all its channels, with where it came from.
+struct ReadAnyResult {
+  uint64_t channel = 0;
+  Gpid src;
+  uint32_t binding_tag = 0;
+  MsgKind kind = MsgKind::kUser;
+  Bytes body;
+
+  template <class F>
+  void Fields(F& f) {
+    f(channel, src, binding_tag, kind, body);
+  }
 };
 
 // Decode-once view of a frame payload (DESIGN.md §13). The executive parses
@@ -116,6 +138,11 @@ struct SyncChannelRecord {
   bool opened_since_sync = false;
   bool closed_since_sync = false;
   uint32_t reads_since_sync = 0;
+
+  template <class F>
+  void Fields(F& f) {
+    f(channel, fd, opened_since_sync, closed_since_sync, reads_since_sync);
+  }
 };
 
 struct SyncRecord {
@@ -139,8 +166,11 @@ struct SyncRecord {
   // duplicate-suppression budget (§5.4) instead of zeroing the counter.
   std::vector<std::pair<uint64_t, uint32_t>> writes_in_flight;
 
-  Bytes Encode() const;
-  static SyncRecord Decode(ByteView body);
+  template <class F>
+  void Fields(F& f) {
+    f(pid, sync_seq, first_sync, context, sig_handler, exec_us, backup_cluster,
+      primary_cluster, mode, parent, family_head, channels, writes_in_flight);
+  }
 };
 
 // Kernel-held per-process state that must survive into the backup alongside
@@ -155,8 +185,10 @@ struct KernelContext {
   uint64_t fork_seq = 0;
   bool in_signal = false;
 
-  Bytes Encode() const;
-  static KernelContext Decode(ByteView blob);
+  template <class F>
+  void Fields(F& f) {
+    f(body_context, next_fd, next_group, groups, fork_seq, in_signal);
+  }
 };
 
 // kBirthNotice (§7.7): enough to repeat the fork with the same identity, and
@@ -169,8 +201,10 @@ struct BirthNotice {
   Gpid family_head;
   std::vector<Bytes> chan_creates;  // encoded ChanCreate for fork channels
 
-  Bytes Encode() const;
-  static BirthNotice Decode(ByteView body);
+  template <class F>
+  void Fields(F& f) {
+    f(parent, child, fork_seq, mode, family_head, chan_creates);
+  }
 };
 
 // kChanCreate: instructs a cluster's executive to fabricate a routing entry.
@@ -189,8 +223,11 @@ struct ChanCreate {
   uint8_t peer_mode = 0;          // peer's BackupMode (crash patching, §7.10.1)
   uint32_t binding_tag = 0;       // server-side meaning (e.g. tty line)
 
-  Bytes Encode() const;
-  static ChanCreate Decode(ByteView body);
+  template <class F>
+  void Fields(F& f) {
+    f(channel, owner, backup_entry, fd, peer_pid, peer_primary_cluster, peer_backup_cluster,
+      own_backup_cluster, peer_kind, peer_mode, binding_tag);
+  }
 };
 
 // kOpenReply body: the new channel's addressing, as seen by the opener.
@@ -204,8 +241,11 @@ struct OpenReplyBody {
   uint8_t peer_kind = 0;          // PeerKind
   uint8_t peer_mode = 0;          // peer's BackupMode
 
-  Bytes Encode() const;
-  static OpenReplyBody Decode(ByteView body);
+  template <class F>
+  void Fields(F& f) {
+    f(request_cookie, status, channel, peer_pid, peer_primary_cluster, peer_backup_cluster,
+      peer_kind, peer_mode);
+  }
 };
 
 // kPageWrite / kPageReply payloads.
@@ -214,8 +254,10 @@ struct PageWriteBody {
   PageNum page = 0;
   Bytes content;
 
-  Bytes Encode() const;
-  static PageWriteBody Decode(ByteView body);
+  template <class F>
+  void Fields(F& f) {
+    f(pid, page, content);
+  }
 };
 
 struct PageRequestBody {
@@ -224,8 +266,10 @@ struct PageRequestBody {
   ClusterId reply_to = kNoCluster;
   uint64_t cookie = 0;
 
-  Bytes Encode() const;
-  static PageRequestBody Decode(ByteView body);
+  template <class F>
+  void Fields(F& f) {
+    f(pid, page, reply_to, cookie);
+  }
 };
 
 struct PageReplyBody {
@@ -235,8 +279,10 @@ struct PageReplyBody {
   bool known = false;             // false: zero-fill (never synced)
   Bytes content;
 
-  Bytes Encode() const;
-  static PageReplyBody Decode(ByteView body);
+  template <class F>
+  void Fields(F& f) {
+    f(pid, page, cookie, known, content);
+  }
 };
 
 // kBackupCreate (§7.10.1 step 3): everything a cluster needs to become the
@@ -253,8 +299,11 @@ struct SavedQueueRecord {
   uint32_t writes_since_sync = 0;  // §5.4 suppression budget travels too
   std::vector<Bytes> queued;       // encoded Msgs, oldest first
 
-  void Serialize(ByteWriter& w) const;
-  static SavedQueueRecord Deserialize(ByteReader& r);
+  template <class F>
+  void Fields(F& f) {
+    f(channel, fd, peer_pid, peer_primary_cluster, peer_backup_cluster, peer_kind, peer_mode,
+      writes_since_sync, queued);
+  }
 };
 
 struct BackupCreateBody {
@@ -274,8 +323,72 @@ struct BackupCreateBody {
   std::vector<std::pair<int32_t, uint64_t>> fds;  // fd -> channel as of sync
   std::vector<SavedQueueRecord> queues;
 
-  Bytes Encode() const;
-  static BackupCreateBody Decode(ByteView body);
+  template <class F>
+  void Fields(F& f) {
+    f(pid, mode, parent, family_head, primary_cluster, has_sync, is_server, peripheral, sync_seq,
+      context, sig_handler, exe, fds, queues);
+  }
+};
+
+// kCrashNotice (§7.10.1): the cluster every peer now starts handling as
+// dead.
+struct CrashNoticeBody {
+  ClusterId dead = kNoCluster;
+
+  template <class F>
+  void Fields(F& f) {
+    f(dead);
+  }
+};
+
+// kBackupReady (§7.10.1): `pid`'s backup now lives at `cluster`; kNoCluster
+// announces that it has none. Peers unfreeze its channels.
+struct BackupReadyBody {
+  Gpid pid;
+  ClusterId cluster = kNoCluster;
+
+  template <class F>
+  void Fields(F& f) {
+    f(pid, cluster);
+  }
+};
+
+// kProcCrash (§10): process `pid` failed alone at cluster `at`.
+struct ProcCrashBody {
+  Gpid pid;
+  ClusterId at = kNoCluster;
+
+  template <class F>
+  void Fields(F& f) {
+    f(pid, at);
+  }
+};
+
+// kCheckpoint (§2 explicit-checkpointing baseline): the whole checkpoint in
+// one message. Its channel record has no opened flag, unlike sync's.
+struct CheckpointChannelRecord {
+  ChannelId channel;
+  Fd fd = kBadFd;
+  bool closed_since_checkpoint = false;
+  uint32_t reads_since_checkpoint = 0;
+
+  template <class F>
+  void Fields(F& f) {
+    f(channel, fd, closed_since_checkpoint, reads_since_checkpoint);
+  }
+};
+
+struct CheckpointBody {
+  Gpid pid;
+  bool full = false;              // replaces every shipped page
+  Bytes context;                  // KernelContext-wrapped body context
+  std::vector<CheckpointChannelRecord> channels;
+  std::vector<std::pair<PageNum, Bytes>> pages;
+
+  template <class F>
+  void Fields(F& f) {
+    f(pid, full, context, channels, pages);
+  }
 };
 
 }  // namespace auragen

@@ -168,14 +168,11 @@ Bytes AvmBody::CaptureContext() const {
   if (awaiting_completion_) {
     snapshot.pc -= kAvmInstrBytes;  // re-execute the blocking SYS on restore
   }
-  ByteWriter w;
-  snapshot.Serialize(w);
-  return w.Take();
+  return Encode(snapshot);
 }
 
 void AvmBody::RestoreContext(const Bytes& context) {
-  ByteReader r(context);
-  ctx_ = CpuContext::Deserialize(r);
+  ctx_ = Decode<CpuContext>(context);
   awaiting_completion_ = false;
   pending_copy_.reset();
 }

@@ -24,6 +24,7 @@
 #ifndef AURAGEN_SRC_KERNEL_NATIVE_BODY_H_
 #define AURAGEN_SRC_KERNEL_NATIVE_BODY_H_
 
+#include <map>
 #include <memory>
 #include <optional>
 
@@ -64,7 +65,7 @@ enum class NativeSys : uint32_t {
 inline constexpr uint32_t kFirstNativeSys = 100;
 
 // Sys::kRead with a == kAnyChannel: consume the oldest message across every
-// channel the server owns (result: {channel u64, src pid u64, payload blob}).
+// channel the server owns (result: a ReadAnyResult, src/core/wire.h).
 inline constexpr uint64_t kAnyChannel = ~0ull;
 
 inline SyscallRequest NativeRequest(NativeSys num) {
@@ -78,24 +79,11 @@ inline SyscallRequest NativeRequest(NativeSys num) {
 // so the backup cluster's executive can discard already-serviced requests
 // from the saved queues (§7.9), followed by an opaque program blob.
 struct ServerSyncPrefix {
-  std::vector<std::pair<ChannelId, uint32_t>> serviced;
+  std::map<uint64_t, uint32_t> serviced;  // channel id -> requests serviced
 
-  void Serialize(ByteWriter& w) const {
-    w.U32(static_cast<uint32_t>(serviced.size()));
-    for (const auto& [ch, n] : serviced) {
-      w.U64(ch.value);
-      w.U32(n);
-    }
-  }
-  static ServerSyncPrefix Deserialize(ByteReader& r) {
-    ServerSyncPrefix p;
-    uint32_t n = r.U32();
-    p.serviced.resize(n);
-    for (auto& [ch, count] : p.serviced) {
-      ch.value = r.U64();
-      count = r.U32();
-    }
-    return p;
+  template <class F>
+  void Fields(F& f) {
+    f(serviced);
   }
 };
 

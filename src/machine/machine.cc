@@ -499,11 +499,9 @@ void Machine::InjectTtyInput(uint32_t line, const std::string& text, SimTime at)
     if (it == server_locations_.end() || !kernels_[it->second]->alive()) {
       return;  // terminal line dead with its cluster; user must retype
     }
-    ByteWriter w;
-    w.U8(static_cast<uint8_t>(ReqTag::kDevInput));
-    w.U32(line);
-    w.Blob(Bytes(text.begin(), text.end()));
-    kernels_[it->second]->InjectLocalMessage(kTtyPid, kBindSelfChannel, w.Take());
+    kernels_[it->second]->InjectLocalMessage(
+        kTtyPid, kBindSelfChannel,
+        Encode(ReqTag::kDevInput, DevInput{line, Bytes(text.begin(), text.end())}));
   });
 }
 
@@ -556,13 +554,8 @@ void Machine::DiskOpFrom(ClusterId from, Gpid server, const DiskTrace& trace, Op
 }
 
 void Machine::TtyEmitFrom(ClusterId /*from*/, Gpid server, const Bytes& data) {
-  ByteReader r(data);
-  TtyRecord rec;
-  rec.line = r.U32();
-  rec.seq = r.U64();
-  Bytes text = r.Blob();
-  rec.text.assign(text.begin(), text.end());
-  rec.at = LocalNow();
+  TtyEmitRecord emit = Decode<TtyEmitRecord>(data);
+  TtyRecord rec{emit.line, emit.seq, std::string(emit.text.begin(), emit.text.end()), LocalNow()};
   if (tracer_ != nullptr) {
     tracer_->Record(TraceEventKind::kTtyEmit, kNoCluster, server.value, 0, rec.line,
                     rec.seq);

@@ -87,19 +87,11 @@ SyscallRequest PageServerProgram::ReadAny() {
 SyscallRequest PageServerProgram::AfterService() {
   if (ops_since_sync_ >= options_.sync_every_ops) {
     // §7.9 explicit sync: trim prefix + the op log the backup applies.
-    ByteWriter w;
-    ServerSyncPrefix prefix;
-    for (const auto& [chan, count] : serviced_since_sync_) {
-      prefix.serviced.emplace_back(ChannelId{chan}, count);
-    }
-    prefix.Serialize(w);
-    w.Blob(ops_log_);
-    serviced_since_sync_.clear();
-    ops_log_.clear();
     ops_since_sync_ = 0;
     mode_ = Mode::kSendingSync;
     SyscallRequest req = NativeRequest(NativeSys::kServerSyncSend);
-    req.data = w.Take();
+    req.data = Encode(ServerSyncPrefix{std::exchange(serviced_since_sync_, {})},
+                      std::exchange(ops_log_, {}));
     return req;
   }
   return ReadAny();
@@ -114,17 +106,13 @@ SyscallRequest PageServerProgram::Next(const SyscallResult& prev, bool first) {
       return ReadAny();
 
     case Mode::kAwaitMessage: {
-      ByteReader r(prev.data);
-      cur_channel_ = r.U64();
-      r.U64();  // src pid
-      r.U32();  // binding tag
-      MsgKind kind = static_cast<MsgKind>(r.U8());
-      Bytes body = r.Blob();
+      auto [channel, src, tag, kind, body] = Decode<ReadAnyResult>(prev.data);
+      cur_channel_ = channel;
       serviced_since_sync_[cur_channel_]++;
 
       switch (kind) {
         case MsgKind::kPageWrite: {
-          PageWriteBody write = PageWriteBody::Decode(body);
+          PageWriteBody write = Decode<PageWriteBody>(body);
           cur_pid_ = write.pid;
           cur_page_ = write.page;
           cur_block_ = Alloc();
@@ -135,7 +123,7 @@ SyscallRequest PageServerProgram::Next(const SyscallResult& prev, bool first) {
           return req;
         }
         case MsgKind::kSync: {
-          SyncRecord record = SyncRecord::Decode(body);
+          SyncRecord record = Decode<SyncRecord>(body);
           CopyAccounts(record.pid);
           ByteWriter ops(std::move(ops_log_));
           ops.U8(static_cast<uint8_t>(PsOp::kSync));
@@ -145,7 +133,7 @@ SyscallRequest PageServerProgram::Next(const SyscallResult& prev, bool first) {
           return AfterService();
         }
         case MsgKind::kPageRequest: {
-          PageRequestBody req_body = PageRequestBody::Decode(body);
+          PageRequestBody req_body = Decode<PageRequestBody>(body);
           cur_pid_ = req_body.pid;
           cur_page_ = req_body.page;
           cur_cookie_ = req_body.cookie;
@@ -168,7 +156,7 @@ SyscallRequest PageServerProgram::Next(const SyscallResult& prev, bool first) {
             SyscallRequest req = NativeRequest(NativeSys::kWriteChan);
             req.a = 3;  // kPageReply
             req.b = cur_channel_;
-            req.data = reply.Encode();
+            req.data = Encode(reply);
             return req;
           }
           cur_block_ = *block;
@@ -227,7 +215,7 @@ SyscallRequest PageServerProgram::Next(const SyscallResult& prev, bool first) {
       SyscallRequest req = NativeRequest(NativeSys::kWriteChan);
       req.a = 3;
       req.b = cur_channel_;
-      req.data = reply.Encode();
+      req.data = Encode(reply);
       return req;
     }
 
@@ -279,59 +267,10 @@ void PageServerProgram::ApplyServerSync(ByteReader& r) {
   }
 }
 
-void PageServerProgram::SerializeState(ByteWriter& w) const {
-  w.U8(static_cast<uint8_t>(mode_));
-  auto put_accounts = [&](const std::map<Gpid, Account>& accounts) {
-    w.U32(static_cast<uint32_t>(accounts.size()));
-    for (const auto& [pid, acct] : accounts) {
-      w.U64(pid.value);
-      w.U32(static_cast<uint32_t>(acct.pages.size()));
-      for (const auto& [page, block] : acct.pages) {
-        w.U32(page);
-        w.U32(block);
-      }
-    }
-  };
-  put_accounts(primary_);
-  put_accounts(backup_);
-  w.U32(static_cast<uint32_t>(free_list_.size()));
-  for (BlockNum b : free_list_) {
-    w.U32(b);
-  }
-  w.U32(next_block_);
-  w.U64(cur_pid_.value);
-  w.U32(cur_page_);
-  w.U32(cur_block_);
-  w.U64(cur_cookie_);
-  w.U64(cur_channel_);
-  w.U32(static_cast<uint32_t>(serviced_since_sync_.size()));
-  for (const auto& [chan, count] : serviced_since_sync_) {
-    w.U64(chan);
-    w.U32(count);
-  }
-  w.Blob(ops_log_);
-  w.U32(ops_since_sync_);
-}
+void PageServerProgram::SerializeState(ByteWriter& w) const { EncodeTo(w, *this); }
 
 void PageServerProgram::RestoreState(ByteReader& r) {
-  mode_ = static_cast<Mode>(r.U8());
-  auto get_accounts = [&](std::map<Gpid, Account>& accounts) {
-    accounts.clear();
-    uint32_t n = r.U32();
-    for (uint32_t i = 0; i < n; ++i) {
-      Gpid pid;
-      pid.value = r.U64();
-      uint32_t m = r.U32();
-      Account acct;
-      for (uint32_t j = 0; j < m; ++j) {
-        PageNum page = r.U32();
-        acct.pages[page] = r.U32();
-      }
-      accounts[pid] = std::move(acct);
-    }
-  };
-  get_accounts(primary_);
-  get_accounts(backup_);
+  DecodeInto(r, *this);
   refcount_.clear();
   for (const auto* accounts : {&primary_, &backup_}) {
     for (const auto& [pid, acct] : *accounts) {
@@ -340,25 +279,6 @@ void PageServerProgram::RestoreState(ByteReader& r) {
       }
     }
   }
-  free_list_.clear();
-  uint32_t nf = r.U32();
-  for (uint32_t i = 0; i < nf; ++i) {
-    free_list_.push_back(r.U32());
-  }
-  next_block_ = r.U32();
-  cur_pid_.value = r.U64();
-  cur_page_ = r.U32();
-  cur_block_ = r.U32();
-  cur_cookie_ = r.U64();
-  cur_channel_ = r.U64();
-  serviced_since_sync_.clear();
-  uint32_t ns = r.U32();
-  for (uint32_t i = 0; i < ns; ++i) {
-    uint64_t chan = r.U64();
-    serviced_since_sync_[chan] = r.U32();
-  }
-  ops_log_ = r.Blob();
-  ops_since_sync_ = r.U32();
 }
 
 bool PageServerProgram::BackupHasPage(Gpid pid, PageNum page) const {

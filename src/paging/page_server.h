@@ -57,6 +57,14 @@ class PageServerProgram : public NativeProgram {
   bool PrimaryHasPage(Gpid pid, PageNum page) const;
   uint64_t blocks_in_use() const { return refcount_.size(); }
 
+  // The serialized state. refcount_ is derived from the accounts and
+  // rebuilt on restore; the reply address is per request.
+  template <class F>
+  void Fields(F& f) {
+    f(mode_, primary_, backup_, free_list_, next_block_, cur_pid_, cur_page_, cur_block_,
+      cur_cookie_, cur_channel_, serviced_since_sync_, ops_log_, ops_since_sync_);
+  }
+
  private:
   enum class Mode : uint8_t {
     kStart,
@@ -69,6 +77,11 @@ class PageServerProgram : public NativeProgram {
 
   struct Account {
     std::map<PageNum, BlockNum> pages;
+
+    template <class F>
+    void Fields(F& f) {
+      f(pages);
+    }
   };
 
   SyscallRequest ReadAny();

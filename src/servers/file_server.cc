@@ -120,7 +120,7 @@ SyscallRequest FileServerProgram::SendOpenReply(uint64_t control_channel,
   SyscallRequest req = NativeRequest(NativeSys::kWriteChan);
   req.a = 1;  // MsgKind::kOpenReply
   req.b = control_channel;
-  req.data = reply.Encode();
+  req.data = Encode(reply);
   return req;
 }
 
@@ -183,37 +183,10 @@ SyscallRequest FileServerProgram::FinishCommit() {
   }
   commit_batch_.clear();
 
-  ByteWriter w;
-  ServerSyncPrefix prefix;
-  for (const auto& [chan, count] : serviced_since_sync_) {
-    prefix.serviced.emplace_back(ChannelId{chan}, count);
-  }
-  prefix.Serialize(w);
-  ByteWriter opaque;
-  opaque.U32(static_cast<uint32_t>(chans_.size()));
-  for (const auto& [chan, state] : chans_) {
-    opaque.U64(chan);
-    opaque.U32(state.inode);
-    opaque.U64(state.offset);
-  }
-  opaque.U32(static_cast<uint32_t>(pending_opens_.size()));
-  for (const auto& [name, pending] : pending_opens_) {
-    opaque.Str(name);
-    opaque.U64(pending.cookie);
-    opaque.U64(pending.control_channel);
-    opaque.U64(pending.opener.value);
-    opaque.U32(pending.opener_cluster);
-    opaque.U32(pending.opener_backup);
-    opaque.U8(pending.opener_mode);
-  }
-  opaque.U64(next_chan_counter_);
-  opaque.U64(log_seq_);
-  w.Blob(opaque.bytes());
-  serviced_since_sync_.clear();
   ops_since_sync_ = 0;
   mode_ = Mode::kSendingSync;
   SyscallRequest req = NativeRequest(NativeSys::kServerSyncSend);
-  req.data = w.Take();
+  req.data = Encode(ServerSyncPrefix{std::exchange(serviced_since_sync_, {})}, AsBlob{rt_});
   return req;
 }
 
@@ -291,8 +264,8 @@ SyscallRequest FileServerProgram::HandleOpen(uint64_t control_channel,
     // User-to-user channel pairing (§7.4.1): "the file server pairs up
     // openers to the same name and sends open replies back to the openers
     // and to their backups."
-    auto it = pending_opens_.find(open.name);
-    if (it == pending_opens_.end()) {
+    auto it = rt_.pending_opens.find(open.name);
+    if (it == rt_.pending_opens.end()) {
       PendingOpen pending;
       pending.cookie = open.cookie;
       pending.control_channel = control_channel;
@@ -300,11 +273,11 @@ SyscallRequest FileServerProgram::HandleOpen(uint64_t control_channel,
       pending.opener_cluster = open.opener_cluster;
       pending.opener_backup = open.opener_backup;
       pending.opener_mode = open.opener_mode;
-      pending_opens_[open.name] = pending;
+      rt_.pending_opens[open.name] = pending;
       return AfterService();  // first opener waits
     }
     PendingOpen first = it->second;
-    pending_opens_.erase(it);
+    rt_.pending_opens.erase(it);
     uint64_t channel = AllocChannelId();
 
     OpenReplyBody to_first;
@@ -344,7 +317,7 @@ SyscallRequest FileServerProgram::HandleOpen(uint64_t control_channel,
     inodes_[inode_id] = Inode{};
   }
   uint64_t channel = AllocChannelId();
-  chans_[channel] = Chan{inode_id, 0};
+  rt_.chans[channel] = Chan{inode_id, 0};
 
   ChanCreate accept;
   accept.channel = ChannelId{channel};
@@ -369,13 +342,13 @@ SyscallRequest FileServerProgram::HandleOpen(uint64_t control_channel,
 
   mode_ = Mode::kAccepting;
   SyscallRequest req = NativeRequest(NativeSys::kAcceptChan);
-  req.data = accept.Encode();
+  req.data = Encode(accept);
   return req;
 }
 
 SyscallRequest FileServerProgram::HandleFileRead(uint64_t channel, uint64_t max) {
-  auto it = chans_.find(channel);
-  if (it == chans_.end()) {
+  auto it = rt_.chans.find(channel);
+  if (it == rt_.chans.end()) {
     return ReplyData(channel, {});
   }
   Chan& chan = it->second;
@@ -448,8 +421,8 @@ SyscallRequest FileServerProgram::StepRead() {
 // §7.9 argument for the raw disk server — where an append-at-EOF would
 // duplicate the record and shift every later byte.
 SyscallRequest FileServerProgram::HandleFileWrite(uint64_t channel, Bytes data) {
-  auto it = chans_.find(channel);
-  if (it == chans_.end()) {
+  auto it = rt_.chans.find(channel);
+  if (it == rt_.chans.end()) {
     return ReplyStatus(channel, -static_cast<int32_t>(Errc::kBadDescriptor));
   }
   Chan& chan = it->second;
@@ -657,7 +630,7 @@ SyscallRequest FileServerProgram::Next(const SyscallResult& prev, bool first) {
         boot_cr_homes_ = std::move(h0);
       }
       if (boot_cr_seq_ != 0) {
-        log_seq_ = boot_cr_seq_;
+        rt_.log_seq = boot_cr_seq_;
       }
       if (!boot_cr_homes_.empty() &&
           (!boot_sb_valid_ || boot_cr_epoch_ > epoch_)) {
@@ -712,15 +685,10 @@ SyscallRequest FileServerProgram::Next(const SyscallResult& prev, bool first) {
     }
 
     case Mode::kAwaitMessage: {
-      ByteReader r(prev.data);
-      uint64_t channel = r.U64();
-      r.U64();  // src pid
-      r.U32();  // binding tag
-      MsgKind kind = static_cast<MsgKind>(r.U8());
-      Bytes body = r.Blob();
+      auto [channel, src, binding_tag, kind, body] = Decode<ReadAnyResult>(prev.data);
 
       if (kind == MsgKind::kClose) {
-        chans_.erase(channel);
+        rt_.chans.erase(channel);
         serviced_since_sync_[channel]++;
         ops_since_sync_++;
         return AfterService();
@@ -734,14 +702,14 @@ SyscallRequest FileServerProgram::Next(const SyscallResult& prev, bool first) {
       ReqTag tag = static_cast<ReqTag>(b.U8());
       switch (tag) {
         case ReqTag::kOpen:
-          return HandleOpen(channel, OpenRequest::Decode(b));
+          return HandleOpen(channel, Decode<OpenRequest>(b));
         case ReqTag::kFileRead:
           return HandleFileRead(channel, b.U64());
         case ReqTag::kFileWrite:
           return HandleFileWrite(channel, b.Blob());
         case ReqTag::kFileSeek: {
           uint64_t offset = b.U64();
-          if (auto it = chans_.find(channel); it != chans_.end()) {
+          if (auto it = rt_.chans.find(channel); it != rt_.chans.end()) {
             it->second.offset = offset;
           }
           return ReplyStatus(channel, 0);
@@ -791,14 +759,14 @@ SyscallRequest FileServerProgram::Next(const SyscallResult& prev, bool first) {
       // slots, higher sequence wins) is the atomic commit point.
       ByteWriter cr;
       cr.U32(kLogMagic);
-      cr.U64(log_seq_ + 1);
+      cr.U64(rt_.log_seq + 1);
       cr.U64(epoch_ + 1);
       cr.U32(static_cast<uint32_t>(commit_batch_.size()));
       for (const auto& [home, image] : commit_batch_) {
         cr.U32(home);
       }
       mode_ = Mode::kLogCommit;
-      return DiskWriteReq(kCrSlot0 + static_cast<BlockNum>((log_seq_ + 1) % 2),
+      return DiskWriteReq(kCrSlot0 + static_cast<BlockNum>((rt_.log_seq + 1) % 2),
                           cr.Take());
     }
 
@@ -807,14 +775,14 @@ SyscallRequest FileServerProgram::Next(const SyscallResult& prev, bool first) {
       // are now reclaimable (§7.9's "old copy cannot be destroyed until the
       // sync is complete" — it is now recoverable from the log even if the
       // home migration below never runs).
-      log_seq_ += 1;
+      rt_.log_seq += 1;
       epoch_ += 1;
       commits_++;
       if (options_.tracer != nullptr) {
         options_.tracer->Record(TraceEventKind::kFsCommit, my_cluster_, my_pid_.value, 0,
                                 epoch_, commits_);
         options_.tracer->Record(TraceEventKind::kFsLogCommit, my_cluster_, my_pid_.value,
-                                0, log_seq_, commit_batch_.size());
+                                0, rt_.log_seq, commit_batch_.size());
       }
       for (BlockNum b : meta_blocks_) {
         free_list_.push_back(b);
@@ -835,68 +803,19 @@ SyscallRequest FileServerProgram::Next(const SyscallResult& prev, bool first) {
   return ReadAny();
 }
 
-void FileServerProgram::ApplyServerSync(ByteReader& r) { LoadRuntime(r.Blob()); }
+void FileServerProgram::ApplyServerSync(ByteReader& r) { DecodeInto(r, AsBlob{rt_}); }
 
-void FileServerProgram::LoadRuntime(const Bytes& opaque) {
-  ByteReader o(opaque);
-  chans_.clear();
-  uint32_t nc = o.U32();
-  for (uint32_t i = 0; i < nc; ++i) {
-    uint64_t chan = o.U64();
-    Chan state;
-    state.inode = o.U32();
-    state.offset = o.U64();
-    chans_[chan] = state;
-  }
-  pending_opens_.clear();
-  uint32_t np = o.U32();
-  for (uint32_t i = 0; i < np; ++i) {
-    std::string name = o.Str();
-    PendingOpen pending;
-    pending.cookie = o.U64();
-    pending.control_channel = o.U64();
-    pending.opener.value = o.U64();
-    pending.opener_cluster = o.U32();
-    pending.opener_backup = o.U32();
-    pending.opener_mode = o.U8();
-    pending_opens_[name] = pending;
-  }
-  next_chan_counter_ = o.U64();
-  log_seq_ = o.U64();
-}
-
+// Used only for halfback re-backup snapshots; the durable state is on disk,
+// so this carries the boot identity of the committed filesystem and the
+// runtime table — minus the unpaired ch: opens, which a snapshot omits.
 void FileServerProgram::SerializeState(ByteWriter& w) const {
-  // Used only for halfback re-backup snapshots; the durable state is on
-  // disk, so this carries the runtime tables plus boot identity of the
-  // committed filesystem.
-  w.U64(epoch_);
-  w.U64(log_seq_);
-  w.U32(static_cast<uint32_t>(meta_blocks_.size()));
-  for (BlockNum b : meta_blocks_) {
-    w.U32(b);
-  }
-  ByteWriter opaque;
-  opaque.U32(static_cast<uint32_t>(chans_.size()));
-  for (const auto& [chan, state] : chans_) {
-    opaque.U64(chan);
-    opaque.U32(state.inode);
-    opaque.U64(state.offset);
-  }
-  opaque.U32(0);  // pending opens omitted in snapshots
-  opaque.U64(next_chan_counter_);
-  opaque.U64(log_seq_);
-  w.Blob(opaque.bytes());
+  Runtime runtime = rt_;
+  runtime.pending_opens.clear();
+  EncodeTo(w, epoch_, rt_.log_seq, meta_blocks_, AsBlob{runtime});
 }
 
 void FileServerProgram::RestoreState(ByteReader& r) {
-  epoch_ = r.U64();
-  log_seq_ = r.U64();
-  meta_blocks_.clear();
-  uint32_t n = r.U32();
-  for (uint32_t i = 0; i < n; ++i) {
-    meta_blocks_.push_back(r.U32());
-  }
-  LoadRuntime(r.Blob());
+  DecodeInto(r, epoch_, rt_.log_seq, meta_blocks_, AsBlob{rt_});
 }
 
 }  // namespace auragen

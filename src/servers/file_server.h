@@ -81,7 +81,7 @@ class FileServerProgram : public NativeProgram {
   bool HasFile(const std::string& name) const { return names_.count(name) != 0; }
   uint64_t FileSize(const std::string& name) const;
   uint64_t commits() const { return commits_; }
-  uint64_t log_seq() const { return log_seq_; }
+  uint64_t log_seq() const { return rt_.log_seq; }
   const BlockCache& cache() const { return cache_; }
 
   // On-disk layout (all in blocks). 0/1: superblock slots; 2/3: commit
@@ -121,6 +121,11 @@ class FileServerProgram : public NativeProgram {
   struct Chan {
     uint32_t inode = 0;
     uint64_t offset = 0;
+
+    template <class F>
+    void Fields(F& f) {
+      f(inode, offset);
+    }
   };
   struct PendingOpen {
     uint64_t cookie = 0;
@@ -129,6 +134,24 @@ class FileServerProgram : public NativeProgram {
     ClusterId opener_cluster = kNoCluster;
     ClusterId opener_backup = kNoCluster;
     uint8_t opener_mode = 0;
+
+    template <class F>
+    void Fields(F& f) {
+      f(cookie, control_channel, opener, opener_cluster, opener_backup, opener_mode);
+    }
+  };
+  // Uncommitted runtime state: what a server sync ships (§7.9) and what a
+  // halfback snapshot carries, with the log position it belongs to.
+  struct Runtime {
+    std::map<uint64_t, Chan> chans;
+    std::map<std::string, PendingOpen> pending_opens;
+    uint64_t next_chan_counter = 1;
+    uint64_t log_seq = 0;  // sequence of the last durable commit record
+
+    template <class F>
+    void Fields(F& f) {
+      f(chans, pending_opens, next_chan_counter, log_seq);
+    }
   };
 
   // --- request handling helpers (each returns the next syscall) ---
@@ -143,14 +166,13 @@ class FileServerProgram : public NativeProgram {
   SyscallRequest ReplyData(uint64_t channel, const Bytes& data);
   SyscallRequest ReplyStatus(uint64_t channel, int32_t status);
   SyscallRequest BootFromSuper();
-  void LoadRuntime(const Bytes& opaque);
   SyscallRequest SendOpenReply(uint64_t control_channel, const OpenReplyBody& reply,
                                Mode next_mode);
 
   BlockNum Alloc();
   Bytes SerializeMeta() const;
   void ParseMeta(const Bytes& blob);
-  uint64_t AllocChannelId() { return (0xffffull << 48) | next_chan_counter_++; }
+  uint64_t AllocChannelId() { return (0xffffull << 48) | rt_.next_chan_counter++; }
 
   FileServerOptions options_;
   Mode mode_ = Mode::kStart;
@@ -167,13 +189,9 @@ class FileServerProgram : public NativeProgram {
   BlockNum next_block_;  // first data block, past the log region
   std::vector<BlockNum> free_list_;
   uint64_t epoch_ = 0;
-  uint64_t log_seq_ = 0;  // sequence of the last durable commit record
   std::vector<BlockNum> meta_blocks_;  // current committed metadata location
 
-  // Uncommitted runtime state (travels in ServerSync).
-  std::map<uint64_t, Chan> chans_;
-  std::map<std::string, PendingOpen> pending_opens_;
-  uint64_t next_chan_counter_ = 1;
+  Runtime rt_;
 
   // Buffer cache over the home block space (never caches log/super blocks).
   BlockCache cache_;

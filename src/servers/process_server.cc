@@ -1,5 +1,7 @@
 #include "src/servers/process_server.h"
 
+#include "src/core/wire.h"
+
 namespace auragen {
 
 SyscallRequest ProcessServerProgram::ReadAny() {
@@ -52,12 +54,9 @@ SyscallRequest ProcessServerProgram::Next(const SyscallResult& prev, bool first)
     }
 
     case Mode::kAwaitMessage: {
-      ByteReader r(prev.data);
-      cur_channel_ = r.U64();
-      cur_src_.value = r.U64();
-      uint32_t tag = r.U32();
-      r.U8();  // msg kind
-      Bytes body = r.Blob();
+      auto [channel, src, tag, kind, body] = Decode<ReadAnyResult>(prev.data);
+      cur_channel_ = channel;
+      cur_src_ = src;
       if (body.empty()) {
         return ReadAny();
       }
@@ -93,17 +92,11 @@ SyscallRequest ProcessServerProgram::Next(const SyscallResult& prev, bool first)
           return StartSignal(target, signum);
         }
         case ReqTag::kPsQuery: {
-          ByteWriter w;
-          w.U8(static_cast<uint8_t>(ReqTag::kData));
-          ByteWriter payload;
-          payload.U64(times_served_);
-          payload.U64(alarms_fired_);
-          payload.U64(alarms_.size());
-          w.Blob(payload.bytes());
           mode_ = Mode::kReplying;
           SyscallRequest req = NativeRequest(NativeSys::kWriteChan);
           req.b = cur_channel_;
-          req.data = w.Take();
+          req.data = EncodeTaggedBlob(
+              ReqTag::kData, Encode(times_served_, alarms_fired_, uint64_t{alarms_.size()}));
           return req;
         }
         default:
@@ -113,13 +106,10 @@ SyscallRequest ProcessServerProgram::Next(const SyscallResult& prev, bool first)
 
     case Mode::kTimeQuery: {
       times_served_++;
-      ByteWriter w;
-      w.U8(static_cast<uint8_t>(ReqTag::kTime64));
-      w.U64(static_cast<uint64_t>(prev.rv));
       mode_ = Mode::kReplying;
       SyscallRequest req = NativeRequest(NativeSys::kWriteChan);
       req.b = cur_channel_;
-      req.data = w.Take();
+      req.data = EncodeTaggedU64(ReqTag::kTime64, static_cast<uint64_t>(prev.rv));
       return req;
     }
 
@@ -160,45 +150,10 @@ SyscallRequest ProcessServerProgram::Next(const SyscallResult& prev, bool first)
   return ReadAny();
 }
 
-void ProcessServerProgram::SerializeState(ByteWriter& w) const {
-  w.U8(static_cast<uint8_t>(mode_));
-  w.U32(static_cast<uint32_t>(alarms_.size()));
-  for (const auto& [cookie, alarm] : alarms_) {
-    w.U64(cookie);
-    w.U64(alarm.target.value);
-    w.U64(alarm.deadline);
-    w.U32(alarm.signum);
-  }
-  w.U64(next_cookie_);
-  w.U64(cur_channel_);
-  w.U64(cur_src_.value);
-  w.U64(sig_target_.value);
-  w.U32(sig_num_);
-  w.U64(pending_alarm_delay_);
-  w.U64(times_served_);
-  w.U64(alarms_fired_);
-}
+void ProcessServerProgram::SerializeState(ByteWriter& w) const { EncodeTo(w, *this); }
 
 void ProcessServerProgram::RestoreState(ByteReader& r) {
-  mode_ = static_cast<Mode>(r.U8());
-  alarms_.clear();
-  uint32_t n = r.U32();
-  for (uint32_t i = 0; i < n; ++i) {
-    uint64_t cookie = r.U64();
-    Alarm alarm;
-    alarm.target.value = r.U64();
-    alarm.deadline = r.U64();
-    alarm.signum = r.U32();
-    alarms_[cookie] = alarm;
-  }
-  next_cookie_ = r.U64();
-  cur_channel_ = r.U64();
-  cur_src_.value = r.U64();
-  sig_target_.value = r.U64();
-  sig_num_ = r.U32();
-  pending_alarm_delay_ = r.U64();
-  times_served_ = r.U64();
-  alarms_fired_ = r.U64();
+  DecodeInto(r, *this);
   // Takeover entry point: re-arm timers before re-entering the read loop.
   mode_ = Mode::kRearmQuery;
 }

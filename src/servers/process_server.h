@@ -36,6 +36,14 @@ class ProcessServerProgram : public NativeProgram {
 
   size_t pending_alarms() const { return alarms_.size(); }
 
+  // The serialized state. Timer progress (rearm_iter_, now_cache_) is
+  // cluster-local and rebuilt after a restore.
+  template <class F>
+  void Fields(F& f) {
+    f(mode_, alarms_, next_cookie_, cur_channel_, cur_src_, sig_target_, sig_num_,
+      pending_alarm_delay_, times_served_, alarms_fired_);
+  }
+
  private:
   enum class Mode : uint8_t {
     kStart,
@@ -55,6 +63,11 @@ class ProcessServerProgram : public NativeProgram {
     Gpid target;
     SimTime deadline = 0;
     uint32_t signum = kSigAlrm;
+
+    template <class F>
+    void Fields(F& f) {
+      f(target, deadline, signum);
+    }
   };
 
   SyscallRequest ReadAny();

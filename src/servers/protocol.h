@@ -50,6 +50,7 @@ enum class ReqTag : uint8_t {
   kDevInput = 81,  // {u32 line, blob text}: terminal hardware input
 };
 
+// kOpen body, after the tag: Encode(ReqTag::kOpen, open).
 struct OpenRequest {
   uint64_t cookie = 0;
   std::string name;
@@ -58,26 +59,33 @@ struct OpenRequest {
   ClusterId opener_backup = kNoCluster;
   uint8_t opener_mode = 0;
 
-  Bytes Encode() const {
-    ByteWriter w;
-    w.U8(static_cast<uint8_t>(ReqTag::kOpen));
-    w.U64(cookie);
-    w.Str(name);
-    w.U64(opener.value);
-    w.U32(opener_cluster);
-    w.U32(opener_backup);
-    w.U8(opener_mode);
-    return w.Take();
+  template <class F>
+  void Fields(F& f) {
+    f(cookie, name, opener, opener_cluster, opener_backup, opener_mode);
   }
-  static OpenRequest Decode(ByteReader& r) {  // tag already consumed
-    OpenRequest o;
-    o.cookie = r.U64();
-    o.name = r.Str();
-    o.opener.value = r.U64();
-    o.opener_cluster = r.U32();
-    o.opener_backup = r.U32();
-    o.opener_mode = r.U8();
-    return o;
+};
+
+// kDevInput body, after the tag: one line of terminal hardware input.
+struct DevInput {
+  uint32_t line = 0;
+  Bytes text;
+
+  template <class F>
+  void Fields(F& f) {
+    f(line, text);
+  }
+};
+
+// NativeSys::kTtyEmit payload: one output write, stamped with its line's
+// sequence number so the machine can drop recovery re-emissions.
+struct TtyEmitRecord {
+  uint32_t line = 0;
+  uint64_t seq = 0;
+  Bytes text;
+
+  template <class F>
+  void Fields(F& f) {
+    f(line, seq, text);
   }
 };
 

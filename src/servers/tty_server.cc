@@ -1,5 +1,9 @@
 #include "src/servers/tty_server.h"
 
+#include <utility>
+
+#include "src/core/wire.h"
+
 namespace auragen {
 
 SyscallRequest TtyServerProgram::ReadAny() {
@@ -10,35 +14,15 @@ SyscallRequest TtyServerProgram::ReadAny() {
   return req;
 }
 
-Bytes TtyServerProgram::SnapshotState() const {
-  // Small: line bindings and output sequence numbers — "only that
-  // information which is actually needed to update the internal tables of
-  // the backup" (§7.9).
-  ByteWriter w;
-  w.U32(static_cast<uint32_t>(lines_.size()));
-  for (const auto& [line, session] : lines_) {
-    w.U32(line);
-    w.U64(session.channel);
-    w.U64(session.owner.value);
-    w.U64(session.out_seq);
-  }
-  return w.Take();
-}
-
 SyscallRequest TtyServerProgram::AfterService() {
   if (ops_since_sync_ >= options_.sync_every_ops) {
-    ByteWriter w;
-    ServerSyncPrefix prefix;
-    for (const auto& [chan, count] : serviced_since_sync_) {
-      prefix.serviced.emplace_back(ChannelId{chan}, count);
-    }
-    prefix.Serialize(w);
-    w.Blob(SnapshotState());
-    serviced_since_sync_.clear();
+    // The snapshot is small: line bindings and output sequence numbers —
+    // "only that information which is actually needed to update the
+    // internal tables of the backup" (§7.9).
     ops_since_sync_ = 0;
     mode_ = Mode::kSendingSync;
     SyscallRequest req = NativeRequest(NativeSys::kServerSyncSend);
-    req.data = w.Take();
+    req.data = Encode(ServerSyncPrefix{std::exchange(serviced_since_sync_, {})}, AsBlob{lines_});
     return req;
   }
   return ReadAny();
@@ -53,13 +37,7 @@ SyscallRequest TtyServerProgram::Next(const SyscallResult& prev, bool first) {
       return ReadAny();
 
     case Mode::kAwaitMessage: {
-      ByteReader r(prev.data);
-      uint64_t channel = r.U64();
-      Gpid src;
-      src.value = r.U64();
-      uint32_t tag = r.U32();
-      r.U8();  // kind
-      Bytes body = r.Blob();
+      auto [channel, src, tag, kind, body] = Decode<ReadAnyResult>(prev.data);
       if (body.empty()) {
         return ReadAny();
       }
@@ -67,13 +45,12 @@ SyscallRequest TtyServerProgram::Next(const SyscallResult& prev, bool first) {
       ReqTag req_tag = static_cast<ReqTag>(b.U8());
 
       if (tag == kBindSelfChannel && req_tag == ReqTag::kDevInput) {
-        uint32_t line = b.U32();
-        Bytes text = b.Blob();
-        auto it = lines_.find(line);
+        DevInput input = Decode<DevInput>(b);
+        auto it = lines_.find(input.line);
         if (it == lines_.end()) {
           return ReadAny();  // no session bound; input discarded
         }
-        if (!text.empty() && text[0] == 0x03) {
+        if (!input.text.empty() && input.text[0] == 0x03) {
           // ^C: route a SIGINT through the process server (§7.5.2).
           sig_target_ = it->second.owner;
           mode_ = Mode::kSignalLookup;
@@ -82,7 +59,7 @@ SyscallRequest TtyServerProgram::Next(const SyscallResult& prev, bool first) {
           return req;
         }
         pending_channel_ = it->second.channel;
-        pending_input_ = std::move(text);
+        pending_input_ = std::move(input.text);
         mode_ = Mode::kForwarding;
         SyscallRequest req = NativeRequest(NativeSys::kWriteChan);
         req.b = pending_channel_;
@@ -111,14 +88,9 @@ SyscallRequest TtyServerProgram::Next(const SyscallResult& prev, bool first) {
         cur_line_ = line;
         serviced_since_sync_[channel]++;
         ops_since_sync_++;
-        Bytes text = b.Blob();
-        ByteWriter out;
-        out.U32(line);
-        out.U64(++session.out_seq);
-        out.Blob(text);
         mode_ = Mode::kEmitting;
         SyscallRequest req = NativeRequest(NativeSys::kTtyEmit);
-        req.data = out.Take();
+        req.data = Encode(TtyEmitRecord{line, ++session.out_seq, b.Blob()});
         return req;
       }
 
@@ -154,30 +126,10 @@ SyscallRequest TtyServerProgram::Next(const SyscallResult& prev, bool first) {
   return ReadAny();
 }
 
-void TtyServerProgram::LoadSnapshot(const Bytes& snapshot) {
-  ByteReader s(snapshot);
-  lines_.clear();
-  uint32_t n = s.U32();
-  for (uint32_t i = 0; i < n; ++i) {
-    uint32_t line = s.U32();
-    Session session;
-    session.channel = s.U64();
-    session.owner.value = s.U64();
-    session.out_seq = s.U64();
-    lines_[line] = session;
-  }
-}
+void TtyServerProgram::ApplyServerSync(ByteReader& r) { DecodeInto(r, AsBlob{lines_}); }
 
-void TtyServerProgram::ApplyServerSync(ByteReader& r) { LoadSnapshot(r.Blob()); }
+void TtyServerProgram::SerializeState(ByteWriter& w) const { EncodeTo(w, *this); }
 
-void TtyServerProgram::SerializeState(ByteWriter& w) const {
-  w.Blob(SnapshotState());
-  w.U32(ops_since_sync_);
-}
-
-void TtyServerProgram::RestoreState(ByteReader& r) {
-  LoadSnapshot(r.Blob());
-  ops_since_sync_ = r.U32();
-}
+void TtyServerProgram::RestoreState(ByteReader& r) { DecodeInto(r, *this); }
 
 }  // namespace auragen

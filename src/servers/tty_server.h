@@ -43,6 +43,13 @@ class TtyServerProgram : public NativeProgram {
   void ApplyServerSync(ByteReader& r) override;
   uint64_t StepWork() const override { return 20; }
 
+  // The serialized state: the line table (also what a server sync ships)
+  // and the op count towards the next sync.
+  template <class F>
+  void Fields(F& f) {
+    f(AsBlob{lines_}, ops_since_sync_);
+  }
+
  private:
   enum class Mode : uint8_t {
     kStart,
@@ -58,12 +65,15 @@ class TtyServerProgram : public NativeProgram {
     uint64_t channel = 0;   // session channel bound to this line
     Gpid owner;
     uint64_t out_seq = 0;   // per-line output sequence (dedupe key)
+
+    template <class F>
+    void Fields(F& f) {
+      f(channel, owner, out_seq);
+    }
   };
 
   SyscallRequest ReadAny();
   SyscallRequest AfterService();
-  Bytes SnapshotState() const;
-  void LoadSnapshot(const Bytes& snapshot);
 
   TtyServerOptions options_;
   Mode mode_ = Mode::kStart;

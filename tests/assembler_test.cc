@@ -173,9 +173,9 @@ TEST(Executable, PageContentZeroPads) {
 TEST(Executable, SerializationRoundTrip) {
   Executable exe = MustAssemble("start:\n  li r1, 9\n  halt\n");
   ByteWriter w;
-  exe.Serialize(w);
+  EncodeTo(w, exe);
   ByteReader r(w.bytes());
-  Executable back = Executable::Deserialize(r);
+  Executable back = Decode<Executable>(r);
   EXPECT_EQ(back.image, exe.image);
   EXPECT_EQ(back.entry, exe.entry);
   // Pinned: {entry u32, image blob}.

@@ -230,9 +230,9 @@ TEST(Cpu, ContextSerializationRoundTrip) {
   }
   ctx.pc = 0x1234;
   ByteWriter w;
-  ctx.Serialize(w);
+  EncodeTo(w, ctx);
   ByteReader r(w.bytes());
-  CpuContext back = CpuContext::Deserialize(r);
+  CpuContext back = Decode<CpuContext>(r);
   EXPECT_TRUE(ctx == back);
   // Pinned: the register file in order, then pc, each a little-endian u32.
   EXPECT_EQ(Fnv1a(w.bytes()), 10386114563111378129ull);
@@ -318,7 +318,7 @@ TEST(AvmBody, CaptureRewindsBlockedSyscall) {
   // Blocked in read: capture rewinds to the SYS instruction.
   Bytes ctx_blob = body.CaptureContext();
   ByteReader r(ctx_blob);
-  CpuContext captured = CpuContext::Deserialize(r);
+  CpuContext captured = Decode<CpuContext>(r);
   EXPECT_EQ(captured.pc, kAvmInstrBytes);  // the SYS, not past it
 
   // A restored body re-issues the identical read.

@@ -91,7 +91,7 @@ Bytes OpenMsg(const std::string& name, uint64_t cookie = 1) {
   open.opener = kUser;
   open.opener_cluster = 1;
   open.opener_backup = 0;
-  return open.Encode();
+  return Encode(ReqTag::kOpen, open);
 }
 
 struct JournalFixture {
@@ -114,7 +114,7 @@ struct JournalFixture {
     h.Push(kChan, kUser, kBindFsChannel, MsgKind::kUser, OpenMsg(name));
     h.Deliver();
     AURAGEN_CHECK(h.sent.size() == before + 1);
-    OpenReplyBody reply = OpenReplyBody::Decode(h.sent.back().payload);
+    OpenReplyBody reply = Decode<OpenReplyBody>(h.sent.back().payload);
     AURAGEN_CHECK(reply.status == 0);
     return reply.channel.value;
   }
@@ -157,7 +157,7 @@ TEST(FileServerJournal, ColdReadMissesOnceThenHits) {
   FileServerProgram recovered(f.options);
   {
     ByteReader r(f.h.server_syncs.back());
-    ServerSyncPrefix::Deserialize(r);
+    Decode<ServerSyncPrefix>(r);
     recovered.ApplyServerSync(r);
   }
   ProgramHarness h2(recovered);
@@ -178,7 +178,7 @@ TEST(FileServerJournal, ColdReadMissesOnceThenHits) {
   h2.Push(kChan + 9, kUser, kBindFsChannel, MsgKind::kUser, OpenMsg("cold", 2));
   h2.Deliver();
   AURAGEN_CHECK(h2.sent.size() == before_open + 1);
-  uint64_t rc = OpenReplyBody::Decode(h2.sent.back().payload).channel.value;
+  uint64_t rc = Decode<OpenReplyBody>(h2.sent.back().payload).channel.value;
 
   uint64_t cold_reads = h2.disk_reads;
   Bytes first = read(rc, 1024);
@@ -189,7 +189,7 @@ TEST(FileServerJournal, ColdReadMissesOnceThenHits) {
   h2.Push(kChan + 10, kUser, kBindFsChannel, MsgKind::kUser, OpenMsg("cold", 3));
   h2.Deliver();
   AURAGEN_CHECK(h2.sent.size() == before2 + 1);
-  uint64_t rc2 = OpenReplyBody::Decode(h2.sent.back().payload).channel.value;
+  uint64_t rc2 = Decode<OpenReplyBody>(h2.sent.back().payload).channel.value;
   uint64_t warm_reads = h2.disk_reads;
   Bytes second = read(rc2, 1024);
   EXPECT_EQ(second, first);
@@ -247,7 +247,7 @@ TEST(FileServerJournal, BootReplaysCommittedButUnmigratedBatch) {
   FileServerProgram recovered(f.options);
   {
     ByteReader r(f.h.server_syncs.back());
-    ServerSyncPrefix::Deserialize(r);
+    Decode<ServerSyncPrefix>(r);
     recovered.ApplyServerSync(r);
   }
   ProgramHarness h2(recovered);
@@ -292,7 +292,7 @@ TEST(FileServerJournal, BootDiscardsTornAppend) {
   FileServerProgram recovered(f.options);
   {
     ByteReader r(f.h.server_syncs.back());
-    ServerSyncPrefix::Deserialize(r);
+    Decode<ServerSyncPrefix>(r);
     recovered.ApplyServerSync(r);
   }
   ProgramHarness h2(recovered);
@@ -307,7 +307,7 @@ TEST(FileServerJournal, BootDiscardsTornAppend) {
   h2.Push(kChan + 4, kUser, kBindFsChannel, MsgKind::kUser, OpenMsg("stable", 7));
   h2.Deliver();
   AURAGEN_CHECK(h2.sent.size() == before + 1);
-  uint64_t rc = OpenReplyBody::Decode(h2.sent.back().payload).channel.value;
+  uint64_t rc = Decode<OpenReplyBody>(h2.sent.back().payload).channel.value;
   size_t before2 = h2.sent.size();
   h2.Push(rc, kUser, 0, MsgKind::kUser, EncodeTaggedU64(ReqTag::kFileRead, 1024));
   h2.Deliver();
@@ -334,7 +334,7 @@ TEST(FileServerJournal, WriteThenRebootMatchesOriginal) {
   FileServerProgram rebooted(f.options);
   {
     ByteReader r(f.h.server_syncs.back());
-    ServerSyncPrefix::Deserialize(r);
+    Decode<ServerSyncPrefix>(r);
     rebooted.ApplyServerSync(r);
   }
   ProgramHarness h2(rebooted);
@@ -346,7 +346,7 @@ TEST(FileServerJournal, WriteThenRebootMatchesOriginal) {
   h2.Push(kChan + 5, kUser, kBindFsChannel, MsgKind::kUser, OpenMsg("persist", 8));
   h2.Deliver();
   AURAGEN_CHECK(h2.sent.size() == before + 1);
-  uint64_t rc = OpenReplyBody::Decode(h2.sent.back().payload).channel.value;
+  uint64_t rc = Decode<OpenReplyBody>(h2.sent.back().payload).channel.value;
   size_t before2 = h2.sent.size();
   h2.Push(rc, kUser, 0, MsgKind::kUser, EncodeTaggedU64(ReqTag::kFileRead, 4096));
   h2.Deliver();

@@ -34,13 +34,7 @@ class ProgramHarness {
   // An incoming message for the read-any queue.
   void Push(uint64_t channel, Gpid src, uint32_t tag, MsgKind kind, Bytes body) {
     Incoming in;
-    ByteWriter w;
-    w.U64(channel);
-    w.U64(src.value);
-    w.U32(tag);
-    w.U8(static_cast<uint8_t>(kind));
-    w.Blob(body);
-    in.payload = w.Take();
+    in.payload = Encode(ReadAnyResult{channel, src, tag, kind, std::move(body)});
     in.body_size = 0;
     incoming_.push_back(std::move(in));
   }
@@ -161,7 +155,7 @@ class ProgramHarness {
         last_.rv = static_cast<int64_t>(req.data.size());
         break;
       case NativeSys::kAcceptChan:
-        accepts.push_back(ChanCreate::Decode(req.data));
+        accepts.push_back(Decode<ChanCreate>(req.data));
         last_.rv = 0;
         break;
       case NativeSys::kSetTimer:

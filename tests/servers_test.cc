@@ -25,14 +25,14 @@ Bytes PageWriteMsg(Gpid pid, PageNum page, uint8_t fill) {
   body.pid = pid;
   body.page = page;
   body.content = Bytes(kAvmPageBytes, fill);
-  return body.Encode();
+  return Encode(body);
 }
 
 Bytes SyncMsg(Gpid pid) {
   SyncRecord record;
   record.pid = pid;
   record.sync_seq = 1;
-  return record.Encode();
+  return Encode(record);
 }
 
 TEST(PageServer, WriteGoesToPrimaryAccountOnly) {
@@ -75,11 +75,11 @@ TEST(PageServer, RequestServedFromBackupAccount) {
   req.pid = kUser;
   req.page = 5;
   req.cookie = 77;
-  h.Push(kChan, kUser, kBindPageChannel, MsgKind::kPageRequest, req.Encode());
+  h.Push(kChan, kUser, kBindPageChannel, MsgKind::kPageRequest, Encode(req));
   h.Drain();
   ASSERT_EQ(h.sent.size(), 1u);
   EXPECT_EQ(h.sent[0].kind, 3u);  // kPageReply
-  PageReplyBody reply = PageReplyBody::Decode(h.sent[0].payload);
+  PageReplyBody reply = Decode<PageReplyBody>(h.sent[0].payload);
   EXPECT_TRUE(reply.known);
   EXPECT_EQ(reply.cookie, 77u);
   ASSERT_FALSE(reply.content.empty());
@@ -93,10 +93,10 @@ TEST(PageServer, UnknownPageRepliesZeroFill) {
   req.pid = kUser;
   req.page = 9;
   req.cookie = 5;
-  h.Push(kChan, kUser, kBindPageChannel, MsgKind::kPageRequest, req.Encode());
+  h.Push(kChan, kUser, kBindPageChannel, MsgKind::kPageRequest, Encode(req));
   h.Drain();
   ASSERT_EQ(h.sent.size(), 1u);
-  PageReplyBody reply = PageReplyBody::Decode(h.sent[0].payload);
+  PageReplyBody reply = Decode<PageReplyBody>(h.sent[0].payload);
   EXPECT_FALSE(reply.known);
 }
 
@@ -114,7 +114,7 @@ TEST(PageServer, ServerSyncOpsReplayRebuildsMirror) {
   // Backup applies the op log and mirrors the accounts.
   PageServerProgram backup(options);
   ByteReader r(h.server_syncs[0]);
-  ServerSyncPrefix::Deserialize(r);  // trim prefix consumed by the kernel
+  Decode<ServerSyncPrefix>(r);  // trim prefix consumed by the kernel
   backup.ApplyServerSync(r);
   EXPECT_TRUE(backup.PrimaryHasPage(kUser, 1));
   EXPECT_TRUE(backup.BackupHasPage(kUser, 2));
@@ -147,7 +147,7 @@ Bytes OpenMsg(const std::string& name, uint64_t cookie = 1) {
   open.opener = kUser;
   open.opener_cluster = 1;
   open.opener_backup = 0;
-  return open.Encode();
+  return Encode(ReqTag::kOpen, open);
 }
 
 struct FsFixture {
@@ -161,7 +161,7 @@ struct FsFixture {
     h.Push(kChan, kUser, kBindFsChannel, MsgKind::kUser, OpenMsg(name));
     h.Deliver();
     AURAGEN_CHECK(h.sent.size() == before + 1);
-    OpenReplyBody reply = OpenReplyBody::Decode(h.sent.back().payload);
+    OpenReplyBody reply = Decode<OpenReplyBody>(h.sent.back().payload);
     AURAGEN_CHECK(reply.status == 0);
     return reply.channel.value;
   }
@@ -255,11 +255,11 @@ TEST(FileServer, ChannelPairingRepliesToBothOpeners) {
   open.opener = other;
   open.opener_cluster = 0;
   open.opener_backup = 1;
-  f.h.Push(kChan + 1, other, kBindFsChannel, MsgKind::kUser, open.Encode());
+  f.h.Push(kChan + 1, other, kBindFsChannel, MsgKind::kUser, Encode(ReqTag::kOpen, open));
   f.h.Deliver();
   ASSERT_EQ(f.h.sent.size(), 2u);
-  OpenReplyBody to_first = OpenReplyBody::Decode(f.h.sent[0].payload);
-  OpenReplyBody to_second = OpenReplyBody::Decode(f.h.sent[1].payload);
+  OpenReplyBody to_first = Decode<OpenReplyBody>(f.h.sent[0].payload);
+  OpenReplyBody to_second = Decode<OpenReplyBody>(f.h.sent[1].payload);
   EXPECT_EQ(f.h.sent[0].channel, kChan);      // replies on each control channel
   EXPECT_EQ(f.h.sent[1].channel, kChan + 1);
   EXPECT_EQ(to_first.channel, to_second.channel);  // one shared channel
@@ -278,7 +278,7 @@ TEST(FileServer, ShadowCommitPreservesOldStateUntilSuperblockFlips) {
   // Trigger enough ops for a commit.
   h.Push(kChan, kUser, kBindFsChannel, MsgKind::kUser, OpenMsg("f"));
   h.Deliver();
-  OpenReplyBody reply = OpenReplyBody::Decode(h.sent.back().payload);
+  OpenReplyBody reply = Decode<OpenReplyBody>(h.sent.back().payload);
   h.Push(reply.channel.value, kUser, 0, MsgKind::kUser,
          EncodeTaggedBlob(ReqTag::kFileWrite, Bytes(10, 7)));
   h.Deliver();
@@ -290,7 +290,7 @@ TEST(FileServer, ShadowCommitPreservesOldStateUntilSuperblockFlips) {
   FileServerProgram recovered(options);
   {
     ByteReader r(h.server_syncs.back());
-    ServerSyncPrefix::Deserialize(r);
+    Decode<ServerSyncPrefix>(r);
     recovered.ApplyServerSync(r);
   }
   ProgramHarness h2(recovered);
@@ -369,10 +369,10 @@ TEST(TtyServer, ServerSyncCarriesBindingsAndSeqs) {
   ASSERT_GE(h.server_syncs.size(), 1u);
   TtyServerProgram backup(options);
   ByteReader r(h.server_syncs.back());
-  ServerSyncPrefix prefix = ServerSyncPrefix::Deserialize(r);
+  ServerSyncPrefix prefix = Decode<ServerSyncPrefix>(r);
   backup.ApplyServerSync(r);
   ASSERT_EQ(prefix.serviced.size(), 1u);
-  EXPECT_EQ(prefix.serviced[0].first.value, kChan);
+  EXPECT_EQ(prefix.serviced.begin()->first, kChan);
   // The mirrored backup continues the sequence where the primary left off.
   ProgramHarness h2(backup);
   h2.Push(kChan, kUser, kBindTtyLineBase + 1, MsgKind::kUser,
@@ -566,7 +566,7 @@ TEST(ServersPinned, FileServerRuntimeStateAndServerSync) {
   h.Drain();
   h.Push(kChan, kUser, kBindFsChannel, MsgKind::kUser, OpenMsg("f"));
   h.Deliver();
-  OpenReplyBody reply = OpenReplyBody::Decode(h.sent.back().payload);
+  OpenReplyBody reply = Decode<OpenReplyBody>(h.sent.back().payload);
   h.Push(reply.channel.value, kUser, 0, MsgKind::kUser,
          EncodeTaggedBlob(ReqTag::kFileWrite, Bytes(10, 7)));
   h.Push(kChan, kUser, kBindFsChannel, MsgKind::kUser, OpenMsg("ch:duo", 9));

@@ -33,9 +33,9 @@ TEST(Wire, MsgHeaderRoundTrip) {
   h.dst_backup_cluster = kNoCluster;
   h.src_backup_cluster = 7;
   ByteWriter w;
-  h.Serialize(w);
+  EncodeTo(w, h);
   ByteReader r(w.bytes());
-  MsgHeader back = MsgHeader::Deserialize(r);
+  MsgHeader back = Decode<MsgHeader>(r);
   EXPECT_EQ(back.kind, h.kind);
   EXPECT_EQ(back.src_pid, h.src_pid);
   EXPECT_EQ(back.dst_pid, h.dst_pid);
@@ -50,7 +50,7 @@ TEST(Wire, MsgEncodeDecode) {
   msg.header.kind = MsgKind::kUser;
   msg.header.src_pid = Gpid::Make(0, 9);
   msg.body = Bytes{1, 2, 3, 4, 5};
-  Msg back = Msg::Decode(msg.Encode());
+  Msg back = Decode<Msg>(Encode(msg));
   EXPECT_EQ(back.header.kind, MsgKind::kUser);
   EXPECT_EQ(back.header.src_pid, msg.header.src_pid);
   EXPECT_EQ(back.body, msg.body);
@@ -80,7 +80,7 @@ TEST(Wire, SyncRecordRoundTrip) {
   c2.closed_since_sync = true;
   s.channels = {c1, c2};
 
-  SyncRecord back = SyncRecord::Decode(s.Encode());
+  SyncRecord back = Decode<SyncRecord>(Encode(s));
   EXPECT_EQ(back.pid, s.pid);
   EXPECT_EQ(back.sync_seq, 42u);
   EXPECT_TRUE(back.first_sync);
@@ -104,7 +104,7 @@ TEST(Wire, KernelContextRoundTrip) {
   k.groups = {{1, {0, 2, 5}}, {3, {}}};
   k.fork_seq = 6;
   k.in_signal = true;
-  KernelContext back = KernelContext::Decode(k.Encode());
+  KernelContext back = Decode<KernelContext>(Encode(k));
   EXPECT_EQ(back.body_context, k.body_context);
   EXPECT_EQ(back.next_fd, 9);
   EXPECT_EQ(back.next_group, 4u);
@@ -123,7 +123,7 @@ TEST(Wire, BirthNoticeRoundTrip) {
   b.mode = static_cast<uint8_t>(BackupMode::kQuarterback);
   b.family_head = Gpid::Make(1, 1);
   b.chan_creates = {Bytes{1, 2}, Bytes{3}};
-  BirthNotice back = BirthNotice::Decode(b.Encode());
+  BirthNotice back = Decode<BirthNotice>(Encode(b));
   EXPECT_EQ(back.parent, b.parent);
   EXPECT_EQ(back.child, b.child);
   EXPECT_EQ(back.fork_seq, 2u);
@@ -145,7 +145,7 @@ TEST(Wire, ChanCreateRoundTrip) {
   c.peer_kind = 2;
   c.peer_mode = 1;
   c.binding_tag = 0x1004;
-  ChanCreate back = ChanCreate::Decode(c.Encode());
+  ChanCreate back = Decode<ChanCreate>(Encode(c));
   EXPECT_EQ(back.channel, c.channel);
   EXPECT_TRUE(back.backup_entry);
   EXPECT_EQ(back.fd, 2);
@@ -164,7 +164,7 @@ TEST(Wire, OpenReplyRoundTrip) {
   o.peer_backup_cluster = kNoCluster;
   o.peer_kind = 1;
   o.peer_mode = 2;
-  OpenReplyBody back = OpenReplyBody::Decode(o.Encode());
+  OpenReplyBody back = Decode<OpenReplyBody>(Encode(o));
   EXPECT_EQ(back.request_cookie, 9u);
   EXPECT_EQ(back.status, -2);
   EXPECT_EQ(back.channel, o.channel);
@@ -176,7 +176,7 @@ TEST(Wire, PageBodiesRoundTrip) {
   w.pid = Gpid::Make(1, 1);
   w.page = 12;
   w.content = Bytes(256, 0xCC);
-  PageWriteBody wb = PageWriteBody::Decode(w.Encode());
+  PageWriteBody wb = Decode<PageWriteBody>(Encode(w));
   EXPECT_EQ(wb.page, 12u);
   EXPECT_EQ(wb.content, w.content);
 
@@ -185,7 +185,7 @@ TEST(Wire, PageBodiesRoundTrip) {
   q.page = 12;
   q.reply_to = 3;
   q.cookie = 99;
-  PageRequestBody qb = PageRequestBody::Decode(q.Encode());
+  PageRequestBody qb = Decode<PageRequestBody>(Encode(q));
   EXPECT_EQ(qb.reply_to, 3u);
   EXPECT_EQ(qb.cookie, 99u);
 
@@ -195,7 +195,7 @@ TEST(Wire, PageBodiesRoundTrip) {
   p.cookie = 99;
   p.known = true;
   p.content = Bytes{5};
-  PageReplyBody pb = PageReplyBody::Decode(p.Encode());
+  PageReplyBody pb = Decode<PageReplyBody>(Encode(p));
   EXPECT_TRUE(pb.known);
   EXPECT_EQ(pb.content, Bytes{5});
 }
@@ -224,7 +224,7 @@ TEST(Wire, BackupCreateRoundTrip) {
   q.queued = {Bytes{9}, Bytes{8, 7}};
   b.queues = {q};
 
-  BackupCreateBody back = BackupCreateBody::Decode(b.Encode());
+  BackupCreateBody back = Decode<BackupCreateBody>(Encode(b));
   EXPECT_EQ(back.pid, b.pid);
   EXPECT_EQ(back.mode, BackupMode::kHalfback);
   EXPECT_TRUE(back.has_sync);
@@ -257,14 +257,14 @@ MsgHeader PinnedHeader() {
 
 TEST(WirePinned, MsgHeaderAndMsg) {
   ByteWriter w;
-  PinnedHeader().Serialize(w);
+  EncodeTo(w, PinnedHeader());
   EXPECT_EQ(Hex(w.bytes()),
             "0a4d000000000003000500000000000100efcdab000000000002000000ffffffff"
             "07000000");
   Msg msg;
   msg.header = PinnedHeader();
   msg.body = Bytes{1, 2, 3};
-  EXPECT_EQ(Hex(msg.Encode()),
+  EXPECT_EQ(Hex(Encode(msg)),
             "0a4d000000000003000500000000000100efcdab000000000002000000ffffffff"
             "0700000003000000010203");
 }
@@ -290,7 +290,7 @@ TEST(WirePinned, SyncRecord) {
   c.reads_since_sync = 7;
   s.channels = {c};
   s.writes_in_flight = {{100, 3}};
-  EXPECT_EQ(Hex(s.Encode()), "0d000000000002002a00000000000000010300000009080720010000"
+  EXPECT_EQ(Hex(Encode(s)), "0d000000000002002a00000000000000010300000009080720010000"
             "2b020000000000000100000002000000020c000000000002000a000000"
             "00000200010000006400000000000000ffffffff010007000000010000"
             "00640000000000000003000000");
@@ -304,7 +304,7 @@ TEST(WirePinned, KernelContext) {
   k.groups = {{1, {0, 2}}, {3, {}}};
   k.fork_seq = 6;
   k.in_signal = true;
-  EXPECT_EQ(Hex(k.Encode()), "03000000010102f7ffffff040000000200000001000000020000000000"
+  EXPECT_EQ(Hex(Encode(k)), "03000000010102f7ffffff040000000200000001000000020000000000"
             "0000020000000300000000000000060000000000000001");
 }
 
@@ -321,7 +321,7 @@ TEST(WirePinned, BirthNoticeAndChanCreate) {
   c.peer_kind = 2;
   c.peer_mode = 1;
   c.binding_tag = 0x1004;
-  EXPECT_EQ(Hex(c.Encode()), "4200000000000000140000000000000001020000001e000000000001"
+  EXPECT_EQ(Hex(Encode(c)), "4200000000000000140000000000000001020000001e000000000001"
             "00010000000000000003000000020104100000");
   BirthNotice b;
   b.parent = Gpid::Make(1, 2);
@@ -330,7 +330,7 @@ TEST(WirePinned, BirthNoticeAndChanCreate) {
   b.mode = 1;
   b.family_head = Gpid::Make(1, 1);
   b.chan_creates = {Bytes{1, 2}, Bytes{3}};
-  EXPECT_EQ(Hex(b.Encode()), "02000000000001000300000000000100020000000000000001010000"
+  EXPECT_EQ(Hex(Encode(b)), "02000000000001000300000000000100020000000000000001010000"
             "0000000100020000000200000001020100000003");
 }
 
@@ -344,7 +344,7 @@ TEST(WirePinned, OpenReply) {
   o.peer_backup_cluster = kNoCluster;
   o.peer_kind = 1;
   o.peer_mode = 2;
-  EXPECT_EQ(Hex(o.Encode()), "0900000000000000feffffff4d0000000000000002000000000002000200"
+  EXPECT_EQ(Hex(Encode(o)), "0900000000000000feffffff4d0000000000000002000000000002000200"
             "0000ffffffff0102");
 }
 
@@ -353,20 +353,20 @@ TEST(WirePinned, PageBodies) {
   w.pid = Gpid::Make(1, 1);
   w.page = 12;
   w.content = Bytes{0xcc, 0xdd};
-  EXPECT_EQ(Hex(w.Encode()), "01000000000001000c00000002000000ccdd");
+  EXPECT_EQ(Hex(Encode(w)), "01000000000001000c00000002000000ccdd");
   PageRequestBody q;
   q.pid = Gpid::Make(1, 1);
   q.page = 12;
   q.reply_to = 3;
   q.cookie = 99;
-  EXPECT_EQ(Hex(q.Encode()), "01000000000001000c000000030000006300000000000000");
+  EXPECT_EQ(Hex(Encode(q)), "01000000000001000c000000030000006300000000000000");
   PageReplyBody p;
   p.pid = q.pid;
   p.page = 12;
   p.cookie = 99;
   p.known = true;
   p.content = Bytes{5};
-  EXPECT_EQ(Hex(p.Encode()), "01000000000001000c0000006300000000000000010100000005");
+  EXPECT_EQ(Hex(Encode(p)), "01000000000001000c0000006300000000000000010100000005");
 }
 
 TEST(WirePinned, BackupCreate) {
@@ -395,7 +395,7 @@ TEST(WirePinned, BackupCreate) {
   q.writes_since_sync = 3;
   q.queued = {Bytes{9}, Bytes{8, 7}};
   b.queues = {q, SavedQueueRecord{}};
-  EXPECT_EQ(Hex(b.Encode()), "320000000000000001310000000000000030000000000000000100000001"
+  EXPECT_EQ(Hex(Encode(b)), "320000000000000001310000000000000030000000000000000100000001"
             "00010800000000000000020000000102400000000100000007020000"
             "00ffffffff640000000000000002000000c800000000000000020000"
             "00640000000000000000000000010000000000010001000000ffffff"
