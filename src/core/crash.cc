@@ -696,6 +696,7 @@ void Kernel::FailProcess(Gpid pid) {
   // The process vanishes as a hardware fault would take it: no exit notice,
   // no channel closes — peers and the backup learn via the crash notice.
   routing_.RemoveAllOf(pid, /*backup=*/false);
+  routing_.DropParked(pid);
   procs_.erase(pid);
   for (auto it = ready_.begin(); it != ready_.end();) {
     it = *it == pid ? ready_.erase(it) : std::next(it);

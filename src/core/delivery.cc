@@ -161,6 +161,19 @@ void Kernel::DeliverLocal(const MsgView& msg) {
       return;
   }
 
+  // Early arrival (DESIGN.md §11): the entry this leg needs does not exist
+  // yet — a channel's first message can overtake the open reply that
+  // creates it. Park the message for the entry's creation; drop it only
+  // when its owner is not (or no longer) here.
+  auto park = [&](bool backup_entry) {
+    if (procs_.count(h.dst_pid) == 0 && backups_.count(h.dst_pid) == 0) {
+      return;
+    }
+    routing_.Park(h.channel, h.dst_pid, backup_entry,
+                  QueuedMsg{next_arrival_seq_++, msg.ToOwned()});
+    env_.metrics().early_arrivals_parked++;
+  };
+
   // §7.4.2: the executive determines which of the three roles this cluster
   // plays; co-resident roles are all served from the single transmission.
   if (h.dst_primary_cluster == id_) {
@@ -171,7 +184,9 @@ void Kernel::DeliverLocal(const MsgView& msg) {
       // own handling has flipped the passive/parked backup entries. Park the
       // message in the saved queue — the takeover flip replays it.
       RoutingEntry* saved = routing_.Find(h.channel, h.dst_pid, /*backup=*/true);
-      if (saved != nullptr && h.kind != MsgKind::kClose) {
+      if (saved == nullptr) {
+        park(/*backup_entry=*/false);
+      } else if (h.kind != MsgKind::kClose) {
         EnqueueAtEntry(*saved, msg);
         env_.metrics().deliveries_backup++;
         if (tracer_ != nullptr) {
@@ -237,6 +252,8 @@ void Kernel::DeliverLocal(const MsgView& msg) {
           }
         }
         WakeReaders(*flipped);
+      } else {
+        park(/*backup_entry=*/true);
       }
     } else if (entry != nullptr) {
       if (h.kind == MsgKind::kClose) {

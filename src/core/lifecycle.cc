@@ -408,6 +408,7 @@ void Kernel::DestroyProcess(Pcb& pcb, int32_t status) {
     }
   }
   routing_.RemoveAllOf(pid, /*backup=*/false);
+  routing_.DropParked(pid);
 
   // Dismantle the backup (§7.7's lifecycle ends here for normal exits).
   if (pcb.backup_cluster != kNoCluster && pcb.backup_exists) {
@@ -431,6 +432,7 @@ void Kernel::DestroyProcess(Pcb& pcb, int32_t status) {
 void Kernel::HandleExitNotice(Gpid pid) {
   backups_.erase(pid);
   routing_.RemoveAllOf(pid, /*backup=*/true);
+  routing_.DropParked(pid);
   birth_store_.erase(pid);
 }
 

@@ -20,6 +20,7 @@ struct Metrics {
   uint64_t deliveries_count_only = 0;  // sender's-backup count bumps
   uint64_t sends_suppressed = 0;       // §5.4 duplicate suppression hits
   uint64_t bytes_sent = 0;
+  uint64_t early_arrivals_parked = 0;  // arrived before their routing entry
 
   // Sync machinery (§7.8).
   uint64_t syncs = 0;
@@ -96,6 +97,7 @@ struct Metrics {
     deliveries_count_only += o.deliveries_count_only;
     sends_suppressed += o.sends_suppressed;
     bytes_sent += o.bytes_sent;
+    early_arrivals_parked += o.early_arrivals_parked;
     syncs += o.syncs;
     sync_pages_shipped += o.sync_pages_shipped;
     sync_bytes_shipped += o.sync_bytes_shipped;

@@ -30,7 +30,41 @@ RoutingEntry& RoutingTable::Create(ChannelId channel, Gpid owner, bool backup_en
   entry.channel = channel;
   entry.owner = owner;
   entry.backup_entry = backup_entry;
+  if (!parked_.empty()) {
+    AdoptParked(entry, backup_entry);
+    if (!backup_entry) {
+      // The cluster was the owner's backup when these arrived and has since
+      // taken over; both roles' arrivals interleave by sequence number.
+      AdoptParked(entry, /*backup_entry=*/true);
+      entry.queue.sort([](const QueuedMsg& a, const QueuedMsg& b) {
+        return a.arrival_seq < b.arrival_seq;
+      });
+    }
+  }
   return entry;
+}
+
+void RoutingTable::Park(ChannelId channel, Gpid owner, bool backup_entry, QueuedMsg msg) {
+  parked_[Key{channel, owner, backup_entry}].push_back(std::move(msg));
+}
+
+void RoutingTable::AdoptParked(RoutingEntry& entry, bool backup_entry) {
+  auto it = parked_.find(Key{entry.channel, entry.owner, backup_entry});
+  if (it == parked_.end()) {
+    return;
+  }
+  for (QueuedMsg& q : it->second) {
+    if (q.msg.header.kind == MsgKind::kClose) {
+      entry.closed_by_peer = true;
+    } else {
+      entry.queue.push_back(std::move(q));
+    }
+  }
+  parked_.erase(it);
+}
+
+void RoutingTable::DropParked(Gpid owner) {
+  std::erase_if(parked_, [owner](const auto& kv) { return kv.first.owner == owner; });
 }
 
 RoutingEntry* RoutingTable::Find(ChannelId channel, Gpid owner, bool backup_entry) {

@@ -76,8 +76,17 @@ class RoutingTable {
   RoutingTable& operator=(RoutingTable&&) = default;
 
   // Creates an entry; a stale entry under the same key is reset in place
-  // (same address, fresh fields).
+  // (same address, fresh fields). Messages parked for the key move into its
+  // queue; a primary entry also takes those parked under the backup role.
   RoutingEntry& Create(ChannelId channel, Gpid owner, bool backup_entry);
+
+  // Early-arrival parking (DESIGN.md §11): a channel message that reaches
+  // this cluster before its entry exists waits here, arrival sequence
+  // number and all, until Create makes the entry. A parked kClose marks the
+  // entry closed by its peer.
+  void Park(ChannelId channel, Gpid owner, bool backup_entry, QueuedMsg msg);
+  // Drops everything parked for `owner`, in either role.
+  void DropParked(Gpid owner);
 
   RoutingEntry* Find(ChannelId channel, Gpid owner, bool backup_entry);
   const RoutingEntry* Find(ChannelId channel, Gpid owner, bool backup_entry) const;
@@ -123,9 +132,12 @@ class RoutingTable {
     return Key{kNoChannel, owner, backup_entry};
   }
 
+  void AdoptParked(RoutingEntry& entry, bool backup_entry);
+
   std::unordered_map<Key, RoutingEntry, KeyHash> entries_;
   // (owner, role) -> that owner's entries in ascending channel order.
   std::unordered_map<Key, std::vector<RoutingEntry*>, KeyHash> by_owner_;
+  std::unordered_map<Key, std::list<QueuedMsg>, KeyHash> parked_;
 };
 
 }  // namespace auragen

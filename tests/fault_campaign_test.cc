@@ -129,6 +129,21 @@ TEST(FaultCampaign, RegressionSeedsStayFixed) {
   }
 }
 
+// KV seeds that stalled because a channel message reached a cluster before
+// the routing entry it needed existed, and was dropped. 62 stalls after the
+// injected crash; 240 also needs the messages parked under the backup role
+// to reach the primary entry created after takeover. Fixed by parking early
+// arrivals until their entry is created (DESIGN.md §11).
+TEST(FaultCampaign, KvEarlyArrivalSeedsStayFixed) {
+  CampaignOptions opt;
+  opt.kv_workload = true;
+  for (uint64_t seed : {62ull, 240ull}) {
+    ScenarioResult result = RunKvScenario(seed, opt);
+    EXPECT_TRUE(result.ok) << "seed " << seed << " [" << result.scenario
+                           << "]: " << result.failure;
+  }
+}
+
 // The dual-line bus outage scenario (§7.1 double fault): both lines die
 // back-to-back, queued traffic (heartbeats urgent-first) drains after the
 // restore, and no peer falsely declares a crash during the dark window. A

@@ -60,6 +60,26 @@ TEST(KvWorkload, ReadYourOwnWrites) {
   EXPECT_GT(r.goodput_rps, 0.0);
 }
 
+// Fault-free, kvload's default machine: session 67's first request reaches
+// the server's clusters 7 us before the open reply that creates the
+// routing entries for its channel. Dropping the early arrival stalled the
+// session with one verification mismatch; parked, it reaches the entry.
+TEST(KvWorkload, EarlyArrivalBeforeOpenReplyIsDelivered) {
+  KvOptions kv;
+  kv.sessions = 200;
+  kv.seed = 17;
+  MachineOptions mo;
+  mo.config.topology = Topology::SingleSegment(8);
+  mo.seed = kv.seed;
+  Machine machine(mo);
+  machine.Boot();
+  KvDeployment d = DeployKv(machine, kv);
+  EXPECT_TRUE(machine.RunUntil([&] { return KvClientsDone(machine, d); }, 2'000'000'000));
+  machine.Settle();
+  EXPECT_EQ(KvMismatchTotal(machine, d), 0u);
+  EXPECT_GT(machine.metrics().early_arrivals_parked, 0u);
+}
+
 // The plan is a pure function of (session, options): same seed, same plan;
 // different seed, different shared-key traffic.
 TEST(KvWorkload, PlanIsDeterministic) {
