@@ -55,6 +55,20 @@ std::string ServerPlacement::Validate(const SystemConfig& config) const {
     }
   }
 
+  // Both mirrored disks are built under every strategy, so their ports must
+  // be real, distinct clusters under every strategy.
+  const std::pair<const char*, const ClusterPair*> disks[] = {{"file disk", &file_disk},
+                                                              {"page disk", &page_disk}};
+  for (const auto& [name, ports] : disks) {
+    if (ports->primary >= n || ports->backup >= n) {
+      return "disk port out of range (num_clusters=" + std::to_string(n) + ")";
+    }
+    if (ports->primary == ports->backup) {
+      return std::string(name) + ": both ports reach cluster " + std::to_string(ports->primary) +
+             " (a dual-ported disk needs two distinct clusters)";
+    }
+  }
+
   // Multi-segment fabric: a primary and its backup must share a segment.
   // Takeover and re-backup traffic may not depend on a switch surviving the
   // fault it is recovering from, and a dual-ported disk cannot span
@@ -68,28 +82,27 @@ std::string ServerPlacement::Validate(const SystemConfig& config) const {
                         ") are in different fabric segments");
       }
     }
-    const std::pair<const char*, const ClusterPair*> disks[] = {
-        {"file disk", &file_disk}, {"page disk", &page_disk}};
     for (const auto& [name, ports] : disks) {
-      if (ports->primary < n && ports->backup < n &&
-          topo.segment_of(ports->primary) != topo.segment_of(ports->backup)) {
+      if (topo.segment_of(ports->primary) != topo.segment_of(ports->backup)) {
         return std::string(name) + ": ports {" + std::to_string(ports->primary) + "," +
                std::to_string(ports->backup) +
                "} span fabric segments (a dual-ported disk is cabled inside one segment)";
       }
     }
-    // Page shards rotate within segment (s mod S); a base pair that is
-    // congruent modulo some segment's size would fold a shard's primary and
-    // backup onto one cluster there.
-    for (SegmentId s = 0; s < topo.num_segments() && s < config.page_shards; ++s) {
-      const uint32_t size = topo.segment_size(s);
-      if (page.primary % size == page.backup % size ||
-          page_disk.primary % size == page_disk.backup % size) {
-        return PlacementError(
-            "page", "shard rotation folds primary and backup onto one cluster in "
-                    "segment " + std::to_string(s) + " (size " + std::to_string(size) +
-                    "); pick a page/page_disk pair distinct modulo every segment size");
-      }
+  }
+
+  // Page shards rotate within segment (s mod S); a base pair that is
+  // congruent modulo some segment's size would fold a shard's primary and
+  // backup onto one cluster there. The shards' disks exist under every
+  // strategy, their backups only with the message system.
+  for (SegmentId s = 0; s < topo.num_segments() && s < config.page_shards; ++s) {
+    const uint32_t size = topo.segment_size(s);
+    if ((ft && page.primary % size == page.backup % size) ||
+        page_disk.primary % size == page_disk.backup % size) {
+      return PlacementError(
+          "page", "shard rotation folds primary and backup onto one cluster in "
+                  "segment " + std::to_string(s) + " (size " + std::to_string(size) +
+                  "); pick a page/page_disk pair distinct modulo every segment size");
     }
   }
 
@@ -116,10 +129,6 @@ std::string ServerPlacement::Validate(const SystemConfig& config) const {
     }
     if (std::string err = check_ports("page", page, page_disk); !err.empty()) {
       return err;
-    }
-    if (file_disk.primary >= n || file_disk.backup >= n || page_disk.primary >= n ||
-        page_disk.backup >= n) {
-      return "disk port out of range (num_clusters=" + std::to_string(n) + ")";
     }
   }
   return {};

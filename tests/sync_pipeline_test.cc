@@ -129,6 +129,27 @@ TEST(PlacementValidation, NonFtSkipsBackupConstraints) {
   EXPECT_NE(options.Validate(), "");
 }
 
+TEST(PlacementValidation, ChecksDiskPortsUnderEveryStrategy) {
+  // Both mirrored disks are built whatever the strategy, so a disk whose
+  // ports are equal or out of range is rejected without the message system
+  // too, rather than validating and then failing MirroredDisk's CHECK.
+  for (FtStrategy strategy : {FtStrategy::kNone, FtStrategy::kMessageSystem,
+                              FtStrategy::kCheckpointFull, FtStrategy::kLockstep}) {
+    MachineOptions options;
+    options.config.topology = Topology::SingleSegment(2);
+    options.config.strategy = strategy;
+    options.placement.file_disk = ClusterPair{0, 0};
+    std::string err = options.Validate();
+    EXPECT_NE(err.find("file disk: both ports reach cluster 0"), std::string::npos)
+        << FtStrategyName(strategy) << ": " << err;
+    options.placement.file_disk = ClusterPair{0, 1};
+    options.placement.page_disk = ClusterPair{1, 2};
+    err = options.Validate();
+    EXPECT_NE(err.find("disk port out of range"), std::string::npos)
+        << FtStrategyName(strategy) << ": " << err;
+  }
+}
+
 TEST(PlacementValidation, RejectsSegmentsOutsideThePaperMachine) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   // The topology is checked before the placement, with or without the
