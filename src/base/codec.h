@@ -236,6 +236,8 @@ struct AsBlob {
 template <typename T>
 AsBlob(T&) -> AsBlob<T>;
 
+namespace internal {
+
 template <typename T>
 concept U64Id = std::is_class_v<T> && sizeof(T) == sizeof(uint64_t) &&
                 requires(T v) { requires std::is_same_v<decltype(v.value), uint64_t>; };
@@ -260,6 +262,8 @@ inline constexpr bool kIsAsBlob = false;
 template <typename T>
 inline constexpr bool kIsAsBlob<AsBlob<T>> = true;
 
+}  // namespace internal
+
 class FieldWriter {
  public:
   explicit FieldWriter(ByteWriter& w) : w_(w) {}
@@ -278,13 +282,13 @@ class FieldWriter {
       w_.Int(static_cast<std::underlying_type_t<T>>(v));
     } else if constexpr (std::is_integral_v<T>) {
       w_.Int(v);
-    } else if constexpr (U64Id<T>) {
+    } else if constexpr (internal::U64Id<T>) {
       w_.U64(v.value);
     } else if constexpr (std::is_same_v<T, Bytes>) {
       w_.Blob(v);
     } else if constexpr (std::is_same_v<T, std::string>) {
       w_.Str(v);
-    } else if constexpr (kIsAsBlob<T>) {
+    } else if constexpr (internal::kIsAsBlob<T>) {
       ByteWriter nested;
       FieldWriter inner(nested);
       inner(v.value);
@@ -293,10 +297,10 @@ class FieldWriter {
       for (const auto& e : v) {
         Put(e);
       }
-    } else if constexpr (kIsPair<T>) {
+    } else if constexpr (internal::kIsPair<T>) {
       Put(v.first);
       Put(v.second);
-    } else if constexpr (kIsVector<T> || kIsMap<T>) {
+    } else if constexpr (internal::kIsVector<T> || internal::kIsMap<T>) {
       w_.U32(static_cast<uint32_t>(v.size()));
       for (const auto& e : v) {
         Put(e);
@@ -330,13 +334,13 @@ class FieldReader {
       v = static_cast<T>(r_.Int<std::underlying_type_t<T>>());
     } else if constexpr (std::is_integral_v<T>) {
       v = r_.Int<T>();
-    } else if constexpr (U64Id<T>) {
+    } else if constexpr (internal::U64Id<T>) {
       v.value = r_.U64();
     } else if constexpr (std::is_same_v<T, Bytes>) {
       v = r_.Blob();
     } else if constexpr (std::is_same_v<T, std::string>) {
       v = r_.Str();
-    } else if constexpr (kIsAsBlob<T>) {
+    } else if constexpr (internal::kIsAsBlob<T>) {
       ByteReader nested(r_.BlobView());
       FieldReader inner(nested);
       inner(v.value);
@@ -344,15 +348,15 @@ class FieldReader {
       for (auto& e : v) {
         Get(e);
       }
-    } else if constexpr (kIsPair<T>) {
+    } else if constexpr (internal::kIsPair<T>) {
       Get(v.first);
       Get(v.second);
-    } else if constexpr (kIsVector<T>) {
+    } else if constexpr (internal::kIsVector<T>) {
       v.resize(r_.U32());
       for (auto& e : v) {
         Get(e);
       }
-    } else if constexpr (kIsMap<T>) {
+    } else if constexpr (internal::kIsMap<T>) {
       v.clear();
       for (uint32_t n = r_.U32(); n > 0; --n) {
         std::pair<typename T::key_type, typename T::mapped_type> e;

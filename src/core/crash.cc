@@ -824,7 +824,8 @@ void Kernel::HandleServerSync(const MsgView& msg) {
     return;
   }
   ByteReader r(msg.body());
-  for (const auto& [chan, count] : Decode<ServerSyncPrefix>(r).serviced) {
+  ServerSyncPrefix prefix = Decode<ServerSyncPrefix>(r);
+  for (const auto& [chan, count] : prefix.serviced) {
     RoutingEntry* e = routing_.Find(ChannelId{chan}, pcb->pid, /*backup=*/true);
     if (e == nullptr) {
       continue;

@@ -266,14 +266,9 @@ SyscallRequest FileServerProgram::HandleOpen(uint64_t control_channel,
     // and to their backups."
     auto it = rt_.pending_opens.find(open.name);
     if (it == rt_.pending_opens.end()) {
-      PendingOpen pending;
-      pending.cookie = open.cookie;
-      pending.control_channel = control_channel;
-      pending.opener = open.opener;
-      pending.opener_cluster = open.opener_cluster;
-      pending.opener_backup = open.opener_backup;
-      pending.opener_mode = open.opener_mode;
-      rt_.pending_opens[open.name] = pending;
+      rt_.pending_opens[open.name] =
+          PendingOpen{open.cookie,         control_channel,    open.opener,
+                      open.opener_cluster, open.opener_backup, open.opener_mode};
       return AfterService();  // first opener waits
     }
     PendingOpen first = it->second;
