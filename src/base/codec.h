@@ -319,9 +319,13 @@ class FieldReader {
  public:
   explicit FieldReader(ByteReader& r) : r_(r) {}
 
-  // Forwarding references so that AsBlob wrappers can be passed in place.
+  // Forwarding references so that AsBlob wrappers can be passed in place;
+  // anything else must be an lvalue to read into.
   template <typename... T>
   void operator()(T&&... v) {
+    static_assert(((std::is_lvalue_reference_v<T> ||
+                    internal::kIsAsBlob<std::remove_cvref_t<T>>) && ...),
+                  "FieldReader reads into lvalues");
     (Get(v), ...);
   }
 

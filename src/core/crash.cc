@@ -376,6 +376,7 @@ void Kernel::TakeOver(BackupPcb b) {
   routing_.RemoveAllOf(pid, /*backup=*/true);
   for (RoutingEntry& c : copies) {
     RoutingEntry& ne = routing_.Create(c.channel, pid, /*backup=*/false);
+    c.queue.merge(ne.queue);  // early arrivals the new entry adopted
     Gpid owner = ne.owner;
     ne = c;
     ne.owner = owner;
@@ -464,6 +465,7 @@ void Kernel::TakeOverParkedServer(Pcb& pcb) {
   routing_.RemoveAllOf(pcb.pid, /*backup=*/true);
   for (RoutingEntry& c : copies) {
     RoutingEntry& ne = routing_.Create(c.channel, pcb.pid, /*backup=*/false);
+    c.queue.merge(ne.queue);  // early arrivals the new entry adopted
     ne = c;
     ne.owner = pcb.pid;
     ne.backup_entry = false;

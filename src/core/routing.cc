@@ -36,9 +36,7 @@ RoutingEntry& RoutingTable::Create(ChannelId channel, Gpid owner, bool backup_en
       // The cluster was the owner's backup when these arrived and has since
       // taken over; both roles' arrivals interleave by sequence number.
       AdoptParked(entry, /*backup_entry=*/true);
-      entry.queue.sort([](const QueuedMsg& a, const QueuedMsg& b) {
-        return a.arrival_seq < b.arrival_seq;
-      });
+      entry.queue.sort();
     }
   }
   return entry;

@@ -30,6 +30,11 @@ struct QueuedMsg {
   uint64_t arrival_seq = 0;  // assigned on arrival at this cluster (§7.5.1:
                              // lets `which` behave identically at the backup)
   Msg msg;
+
+  // Queues are kept in arrival order.
+  friend bool operator<(const QueuedMsg& a, const QueuedMsg& b) {
+    return a.arrival_seq < b.arrival_seq;
+  }
 };
 
 struct RoutingEntry {
