@@ -100,6 +100,45 @@ TEST(RoutingTable, CreateReplacesStaleEntry) {
   EXPECT_EQ(table.EntriesOf(kA, false).size(), 2u);  // still indexed once
 }
 
+QueuedMsg Arrival(uint64_t seq, MsgKind kind = MsgKind::kUser) {
+  QueuedMsg q;
+  q.arrival_seq = seq;
+  q.msg.header.kind = kind;
+  return q;
+}
+
+// Early arrivals (DESIGN.md §11) wait for their entry: its own role's in
+// arrival order, a primary entry's merged with those parked under the
+// backup role, and a parked close marks the entry closed by its peer.
+TEST(RoutingTable, ParkedArrivalsReachTheEntryWhenItIsCreated) {
+  RoutingTable table;
+  table.Park(kCh1, kA, /*backup=*/true, Arrival(2));
+  table.Park(kCh1, kA, /*backup=*/false, Arrival(3));
+  table.Park(kCh1, kA, /*backup=*/true, Arrival(5));
+  table.Park(kCh2, kA, /*backup=*/true, Arrival(7, MsgKind::kClose));
+
+  RoutingEntry& primary = table.Create(kCh1, kA, /*backup=*/false);
+  std::vector<uint64_t> seqs;
+  for (const QueuedMsg& q : primary.queue) {
+    seqs.push_back(q.arrival_seq);
+  }
+  EXPECT_EQ(seqs, (std::vector<uint64_t>{2, 3, 5}));
+  EXPECT_TRUE(table.Create(kCh1, kA, /*backup=*/true).queue.empty());  // taken
+
+  RoutingEntry& closed = table.Create(kCh2, kA, /*backup=*/true);
+  EXPECT_TRUE(closed.queue.empty());
+  EXPECT_TRUE(closed.closed_by_peer);
+}
+
+TEST(RoutingTable, DropParkedForgetsOnlyThatOwner) {
+  RoutingTable table;
+  table.Park(kCh1, kA, /*backup=*/false, Arrival(1));
+  table.Park(kCh1, kB, /*backup=*/false, Arrival(2));
+  table.DropParked(kA);
+  EXPECT_TRUE(table.Create(kCh1, kA, /*backup=*/false).queue.empty());
+  EXPECT_EQ(table.Create(kCh1, kB, /*backup=*/false).queue.size(), 1u);
+}
+
 TEST(RoutingTable, ForEachVisitsEverything) {
   RoutingTable table;
   table.Create(kCh1, kA, false);
