@@ -6,6 +6,10 @@
 // destination's backup, and of the sender's backup — so a receiving
 // executive processor can decide which of the three roles (or several at
 // once, when roles co-reside) it plays for this message (§7.4.2).
+//
+// Each layout is declared once, as a Fields list in wire order; Encode(x)
+// and Decode<T>(bytes) (src/base/codec.h) derive the writer and the reader
+// from it.
 
 #ifndef AURAGEN_SRC_CORE_WIRE_H_
 #define AURAGEN_SRC_CORE_WIRE_H_
@@ -76,8 +80,6 @@ struct MsgHeader {
   }
 };
 
-// Layouts are declared once, as a Fields list (src/base/codec.h): Encode(m)
-// and Decode<Msg>(payload) derive the writer and the reader from it.
 struct Msg {
   MsgHeader header;
   Bytes body;
