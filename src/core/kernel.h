@@ -150,8 +150,14 @@ class Kernel : public BusEndpoint {
   void ExecPump();
   void PumpTransmit();
   void DeliverLocal(const MsgView& msg);
+  // Queues `msg` at `entry` (a kClose marks it closed by the peer instead),
+  // counted and traced by the role the entry plays.
+  void DeliverAt(RoutingEntry& entry, const MsgView& msg);
   void EnqueueAtEntry(RoutingEntry& entry, const MsgView& msg);
   void WakeReaders(const RoutingEntry& entry);
+  // Addresses a new channel end from its open reply (§7.4.1), patched for
+  // every crash this kernel has already handled.
+  void FillFromOpenReply(RoutingEntry& entry, const OpenReplyBody& reply, ClusterId own_backup);
   void HandleControl(const MsgView& msg);
   ClusterMask TargetsOf(const RoutingEntry& entry) const;
 
@@ -246,6 +252,11 @@ class Kernel : public BusEndpoint {
   void HandlePageFault(Pcb& pcb, PageNum page);
   void HandlePageReply(const PageReplyBody& reply);
   void ReissuePageRequests();
+  // Ships one page of `pid` to its page-server shard (§7.8).
+  void ShipPage(RoutingEntry& page_entry, Gpid pid, PageNum page, const Bytes& content);
+  // Asks for the page `pcb` is blocked on under a fresh cookie; replies to
+  // an older cookie are dropped as stale.
+  void RequestPage(Pcb& pcb, RoutingEntry& page_entry);
   // The kernel's own channel to a page-server shard (fabricated at boot,
   // one per shard). A process's pages always go to the shard keyed by its
   // origin cluster, which never changes — so the backup account is found
@@ -270,7 +281,8 @@ class Kernel : public BusEndpoint {
   // `channel` is caller-allocated so fork replay can reuse recorded ids.
   void CreateChannelPair(Pcb& pcb, Fd fd, ChannelId channel, const ServerAddr& server,
                          PeerKind kind, uint32_t binding_tag);
-  void SendBackupSkeleton(const Pcb& pcb);
+  // Creates the entry `c` describes at cluster `to` (none for kNoCluster).
+  void SendChanCreate(ClusterId to, const ChanCreate& c);
   // Native servers get a local self channel (timers, device input).
   void EnsureSelfEntry(Pcb& pcb);
   void DestroyProcess(Pcb& pcb, int32_t status);
@@ -284,8 +296,26 @@ class Kernel : public BusEndpoint {
   void HandleCrashNotice(ClusterId dead);
   void RunCrashHandling(ClusterId dead);
   void PatchEntryAfterCrash(RoutingEntry& entry, ClusterId dead);
+  // Re-checks every blocked read and which (EOF, flipped saved messages).
+  void WakeBlockedReaders();
   void TakeOver(BackupPcb backup);
   void TakeOverParkedServer(Pcb& pcb);
+  // Flips `p`'s saved backup entries into primary entries (§7.10.1),
+  // keeping their queues (the rollforward input, §5.2) and write counts (the
+  // §5.4 suppression budget). Returns the saved messages carried over.
+  uint64_t FlipSavedEntries(Pcb& p);
+  // The identity and program of `pcb` a kBackupCreate ships (§7.7): all of
+  // the spawn-time skeleton, and the head of a replacement.
+  BackupCreateBody BackupCreateOf(const Pcb& pcb) const;
+  // One record per primary entry of `pcb` (addressing, §5.4 budget, unread
+  // messages) for a new backup at pcb.backup_cluster, which the entries'
+  // save legs address from now on.
+  std::vector<SavedQueueRecord> CaptureSavedQueues(Pcb& pcb);
+  // Recreates the saved backup entries a kBackupCreate carries.
+  void RestoreSavedQueues(const BackupCreateBody& body);
+  // Enqueues `body` to `to`. ship_kind is the kBackupShip trace's a:
+  // 0 replacement, 1 peripheral re-backup, 2 spawn-time skeleton.
+  void SendBackupCreate(const BackupCreateBody& body, ClusterId to, uint64_t ship_kind);
   void CreateReplacementBackup(Pcb& pcb, const Bytes& sync_context);
   // A live primary whose backup cluster died: place, sync, and announce a
   // fresh backup (deferred via Pcb::needs_rebackup when the process is not
@@ -297,7 +327,7 @@ class Kernel : public BusEndpoint {
   // Clusters a broadcast from this kernel should reach: self plus every
   // peer not yet known dead (§7.10.1 — never address handled-dead clusters).
   ClusterMask LiveBroadcastMask() const;
-  void HandleBackupCreate(const BackupCreateBody& body, ClusterId from);
+  void HandleBackupCreate(const BackupCreateBody& body);
   void HandleBackupReady(Gpid pid, ClusterId new_backup, ClusterId primary_home);
   void HandleServerSync(const MsgView& msg);
   void HandleProcCrash(Gpid pid, ClusterId at);

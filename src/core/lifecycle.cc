@@ -51,38 +51,20 @@ void Kernel::CreateChannelPair(Pcb& pcb, Fd fd, ChannelId channel, const ServerA
     pcb.signal_channel = channel;
   }
 
-  auto send_create = [&](ClusterId to, const ChanCreate& c) {
-    if (to == kNoCluster) {
-      return;
-    }
-    Msg msg;
-    msg.header.kind = MsgKind::kChanCreate;
-    msg.header.src_pid = kernel_pid_;
-    msg.header.dst_pid = c.owner;
-    msg.body = Encode(c);
-    if (to == id_) {
-      // Local fabrication (server in this very cluster): apply directly so
-      // ordering against locally-queued work stays trivial.
-      HandleControl(MsgView::FromOwned(std::move(msg)));
-      return;
-    }
-    EnqueueOutgoing(std::move(msg), MaskOf(to));
-  };
-
   // Backup entry for the process end at its backup cluster.
-  send_create(pcb.backup_cluster,
-              MakeChanCreate(channel, pcb.pid, /*backup=*/true, fd, server.pid,
-                             server.primary, server.backup, pcb.backup_cluster, kind,
-                             BackupMode::kHalfback, binding_tag));
+  SendChanCreate(pcb.backup_cluster,
+                 MakeChanCreate(channel, pcb.pid, /*backup=*/true, fd, server.pid,
+                                server.primary, server.backup, pcb.backup_cluster, kind,
+                                BackupMode::kHalfback, binding_tag));
   // Server-side primary + backup entries.
-  send_create(server.primary,
-              MakeChanCreate(channel, server.pid, /*backup=*/false, kBadFd, pcb.pid, id_,
-                             pcb.backup_cluster, server.backup, PeerKind::kUserPeer,
-                             pcb.mode, binding_tag));
-  send_create(server.backup,
-              MakeChanCreate(channel, server.pid, /*backup=*/true, kBadFd, pcb.pid, id_,
-                             pcb.backup_cluster, server.backup, PeerKind::kUserPeer,
-                             pcb.mode, binding_tag));
+  SendChanCreate(server.primary,
+                 MakeChanCreate(channel, server.pid, /*backup=*/false, kBadFd, pcb.pid, id_,
+                                pcb.backup_cluster, server.backup, PeerKind::kUserPeer,
+                                pcb.mode, binding_tag));
+  SendChanCreate(server.backup,
+                 MakeChanCreate(channel, server.pid, /*backup=*/true, kBadFd, pcb.pid, id_,
+                                pcb.backup_cluster, server.backup, PeerKind::kUserPeer,
+                                pcb.mode, binding_tag));
 
   // Terminal sessions bind their line at creation so input can arrive
   // before the session's first output. The bind message is kernel-
@@ -138,23 +120,29 @@ void Kernel::CreateKernelChannel(const ServerAddr& server, uint32_t tag) {
   e.binding_tag = tag;
 
   for (bool backup_entry : {false, true}) {
-    ClusterId to = backup_entry ? server.backup : server.primary;
-    if (to == kNoCluster) {
-      continue;
-    }
-    Msg msg;
-    msg.header.kind = MsgKind::kChanCreate;
-    msg.header.src_pid = kernel_pid_;
-    msg.header.dst_pid = server.pid;
-    msg.body = Encode(MakeChanCreate(channel, server.pid, backup_entry, kBadFd, kernel_pid_, id_,
-                                     kNoCluster, server.backup, PeerKind::kUserPeer,
-                                     BackupMode::kQuarterback, tag));
-    if (to == id_) {
-      HandleControl(MsgView::FromOwned(std::move(msg)));
-    } else {
-      EnqueueOutgoing(std::move(msg), MaskOf(to));
-    }
+    SendChanCreate(backup_entry ? server.backup : server.primary,
+                   MakeChanCreate(channel, server.pid, backup_entry, kBadFd, kernel_pid_, id_,
+                                  kNoCluster, server.backup, PeerKind::kUserPeer,
+                                  BackupMode::kQuarterback, tag));
   }
+}
+
+void Kernel::SendChanCreate(ClusterId to, const ChanCreate& c) {
+  if (to == kNoCluster) {
+    return;
+  }
+  Msg msg;
+  msg.header.kind = MsgKind::kChanCreate;
+  msg.header.src_pid = kernel_pid_;
+  msg.header.dst_pid = c.owner;
+  msg.body = Encode(c);
+  if (to == id_) {
+    // Local fabrication (the entry's owner is in this very cluster): apply
+    // directly so ordering against locally-queued work stays trivial.
+    HandleControl(MsgView::FromOwned(std::move(msg)));
+    return;
+  }
+  EnqueueOutgoing(std::move(msg), MaskOf(to));
 }
 
 void Kernel::EnsureSelfEntry(Pcb& pcb) {
@@ -186,31 +174,6 @@ void Kernel::InjectLocalMessage(Gpid owner, uint32_t binding_tag, Bytes payload)
     WakeReaders(*e);
     return;
   }
-}
-
-void Kernel::SendBackupSkeleton(const Pcb& pcb) {
-  BackupCreateBody body;
-  body.pid = pcb.pid;
-  body.mode = pcb.mode;
-  body.parent = pcb.parent;
-  body.family_head = pcb.family_head;
-  body.primary_cluster = id_;
-  body.has_sync = false;
-  body.is_server = pcb.is_server;
-  if (!pcb.is_server) {
-    body.exe = Encode(pcb.exe);
-  }
-  Msg msg;
-  msg.header.kind = MsgKind::kBackupCreate;
-  msg.header.src_pid = kernel_pid_;
-  msg.header.dst_pid = pcb.pid;
-  msg.body = Encode(body);
-  env_.metrics().backup_create_bytes += msg.body.size();
-  if (tracer_ != nullptr) {
-    tracer_->Record(TraceEventKind::kBackupShip, id_, pcb.pid.value, 0, 2,
-                    msg.body.size());
-  }
-  EnqueueOutgoing(std::move(msg), MaskOf(pcb.backup_cluster));
 }
 
 // --------------------------------------------------------------------- fork

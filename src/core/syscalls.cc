@@ -162,22 +162,8 @@ void Kernel::ConsumeMessage(Pcb& pcb, RoutingEntry& entry, int64_t max, bool rea
                            ? *existing
                            : routing_.Create(reply.channel, pcb.pid, /*backup=*/false);
     ne.fd = fd;
-    ne.peer_pid = reply.peer_pid;
-    ne.peer_primary_cluster = reply.peer_primary_cluster;
-    ne.peer_backup_cluster = reply.peer_backup_cluster;
-    ne.peer_kind = reply.peer_kind;
-    ne.peer_mode = reply.peer_mode;
-    ne.own_backup_cluster = pcb.backup_cluster;
     ne.opened_since_sync = true;
-    // A reply held over a crash (re-delivered to a restarted opener) carries
-    // the peer's pre-crash location. Apply the crashes this kernel has
-    // already handled, or the first send walks into a dead cluster and the
-    // save leg parks in a queue nothing will ever replay.
-    for (ClusterId c = 0; c < num_clusters_; ++c) {
-      if (crash_handled_[c]) {
-        PatchEntryAfterCrash(ne, c);
-      }
-    }
+    FillFromOpenReply(ne, reply, pcb.backup_cluster);
     pcb.fds[fd] = FdBinding{reply.channel, static_cast<PeerKind>(reply.peer_kind)};
     CompleteAndReady(pcb, fd);
     return;

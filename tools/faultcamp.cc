@@ -164,9 +164,8 @@ int main(int argc, char** argv) {
                   auragen::MakeScenarioPlan(single_seed, opt).Describe().c_str());
       return 0;
     }
-    ScenarioResult r = opt.file_workload ? auragen::RunFileScenario(single_seed, opt)
-                       : opt.kv_workload ? auragen::RunKvScenario(single_seed, opt)
-                                         : auragen::RunScenario(single_seed, opt);
+    ScenarioResult r;
+    auragen::RunCampaign(single_seed, 1, opt, [&](const ScenarioResult& one) { r = one; });
     std::printf("seed %llu: %s  [%s]\n", static_cast<unsigned long long>(r.seed),
                 r.ok ? "PASS" : "FAIL", r.scenario.c_str());
     std::printf("  takeovers=%llu crashes_handled=%llu tty_dups=%llu digest=%s\n",
