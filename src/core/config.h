@@ -108,34 +108,40 @@ struct SyncPolicy {
   }
 };
 
+// The machine's fixed cost model and liveness timing. Constants rather
+// than SystemConfig fields: no caller varies them.
+inline constexpr uint32_t kWorkProcessorsPerCluster = 2;  // §7.1
+// Work-processor cost model: one AVM instruction ≈ 0.5us (2 MIPS,
+// M68000-era), and the work units one dispatch may run.
+inline constexpr double kUsPerWorkUnit = 0.5;
+inline constexpr uint64_t kQuantumWork = 500;
+// Executive-processor cost model (§7.1: it handles all intercluster message
+// traffic; §8.1: backup copies cost executive, not work, time).
+inline constexpr SimTime kExecSendUs = 4;       // take a message off the outgoing queue
+inline constexpr SimTime kExecDeliverUs = 3;    // distribute one arriving message locally
+inline constexpr SimTime kExecSyncApplyUs = 6;  // apply a sync record to a backup PCB
+// Work-processor stall per dirty page enqueued at sync, and for building the
+// sync record (§8.3: the primary is interrupted "only as long as it takes to
+// place its dirty pages and the sync message on the outgoing queue").
+inline constexpr SimTime kSyncPageEnqueueUs = 2;
+inline constexpr SimTime kSyncBuildUs = 10;
+// Failure detection (§7.10: periodic polling).
+inline constexpr SimTime kHeartbeatPeriodUs = 5000;
+inline constexpr SimTime kHeartbeatTimeoutUs = 12000;  // missed ~2 heartbeats
+// Crash handling (§7.10.1): routing-table patch cost per entry.
+inline constexpr SimTime kCrashScanPerEntryUs = 1;
+
 struct SystemConfig {
   // The machine's shape: how many clusters, on which dual-bus segments, with
   // which bus costs (src/bus/topology.h). The default is the paper's
   // smallest machine, two clusters on one dual bus (§7.1).
   Topology topology = Topology::SingleSegment(2);
 
-  uint32_t work_processors_per_cluster = 2;   // §7.1
-
   FtStrategy strategy = FtStrategy::kMessageSystem;
-
-  // --- work-processor cost model ---
-  double us_per_work_unit = 0.5;   // one AVM instruction ≈ 0.5us (2 MIPS, M68000-era)
-  uint64_t quantum_work = 500;     // work units per dispatch
-
-  // --- executive-processor cost model (§7.1: it handles all intercluster
-  //     message traffic; §8.1: backup copies cost executive, not work, time) ---
-  SimTime exec_send_us = 4;        // take a message off the outgoing queue
-  SimTime exec_deliver_us = 3;     // distribute one arriving message locally
-  SimTime exec_sync_apply_us = 6;  // apply a sync record to a backup PCB
 
   // --- sync triggers (§5.2, §7.8) ---
   uint32_t sync_reads_limit = 32;        // reads since sync
   SimTime sync_time_limit_us = 20000;    // execution time since sync
-  // Work-processor stall per dirty page enqueued at sync (§8.3: the primary
-  // is interrupted "only as long as it takes to place its dirty pages and
-  // the sync message on the outgoing queue").
-  SimTime sync_page_enqueue_us = 2;
-  SimTime sync_build_us = 10;
   // How dirty pages travel at a sync (mode + drain pacing + adaptive
   // trigger bounds); see SyncPolicy above.
   SyncPolicy sync_policy;
@@ -145,17 +151,6 @@ struct SystemConfig {
   // recovery paging does not converge on a single hot cluster. Shard choice
   // is pid.origin_cluster() % page_shards — stable across primary moves.
   uint32_t page_shards = 1;
-
-  // --- failure detection (§7.10: periodic polling) ---
-  SimTime heartbeat_period_us = 5000;
-  SimTime heartbeat_timeout_us = 12000;  // missed ~2 heartbeats
-
-  // --- crash handling (§7.10.1) ---
-  SimTime crash_scan_per_entry_us = 1;   // routing-table patch cost per entry
-
-  // Default backup mode for user processes (§7.3: "The default mode, at
-  // least for the first implementation, will be quarterback").
-  BackupMode default_mode = BackupMode::kQuarterback;
 };
 
 }  // namespace auragen
