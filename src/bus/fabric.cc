@@ -55,6 +55,11 @@ void Fabric::BuildSegments() {
 
 void Fabric::AttachEndpoint(ClusterId cluster, BusEndpoint* endpoint) {
   AURAGEN_CHECK(cluster < num_clusters_);
+  // A (re)starting cluster is no longer fenced anywhere: its first frames
+  // may reach a peer before its first heartbeat does.
+  for (auto& bus : buses_) {
+    bus->Reconnect(cluster);
+  }
   // Every segment bus carries the full endpoint table (slots are owned by
   // the cluster's own shard), but a cluster only ever receives from its own
   // segment's bus — deliveries are gated by the local member mask.
@@ -70,9 +75,10 @@ bool Fabric::IsAttached(ClusterId cluster) const {
   return cluster < num_clusters_ && buses_[topology_.segment_of(cluster)]->IsAttached(cluster);
 }
 
-void Fabric::Transmit(ClusterId src, ClusterMask targets, Bytes payload, bool urgent) {
+void Fabric::Transmit(ClusterId src, ClusterMask targets, Bytes payload, bool urgent,
+                      ClusterId fence) {
   AURAGEN_CHECK(src < num_clusters_);
-  buses_[segment_of(src)]->Transmit(src, targets, std::move(payload), urgent);
+  buses_[segment_of(src)]->Transmit(src, targets, std::move(payload), urgent, fence);
 }
 
 void Fabric::FailLine(int line) {

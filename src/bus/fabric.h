@@ -63,7 +63,8 @@ class Fabric {
   void AttachEndpoint(ClusterId cluster, BusEndpoint* endpoint);
   void DetachEndpoint(ClusterId cluster);
   bool IsAttached(ClusterId cluster) const;
-  void Transmit(ClusterId src, ClusterMask targets, Bytes payload, bool urgent = false);
+  void Transmit(ClusterId src, ClusterMask targets, Bytes payload, bool urgent = false,
+                ClusterId fence = kNoCluster);
 
   // Legacy machine-wide dual-line faults: the line fails (or returns) on
   // every segment at once, so the pre-fabric bus-outage scenarios keep their

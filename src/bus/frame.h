@@ -93,6 +93,9 @@ struct Frame {
                                // happens after successful transmission, §7.4.2)
   SimTime sent_at = 0;         // bus-accept time; observability only, not on
                                // the wire (excluded from WireSize)
+  // The cluster a crash notice accuses (§7.10.1), else kNoCluster. Not on
+  // the wire: the bus fences the accused when it accepts the notice.
+  ClusterId fence = kNoCluster;
   // Shared immutable payload (DESIGN.md §13): one encoded buffer serves the
   // bus queue, every per-destination delivery, and any deferred executive
   // work. Copying a Frame bumps a refcount; the bytes are copied only where

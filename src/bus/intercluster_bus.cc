@@ -58,12 +58,14 @@ SimTime InterclusterBus::LocalNow() const {
   return s == kNoShard ? engine_.Now() : engine_.ShardNow(s);
 }
 
-void InterclusterBus::Transmit(ClusterId src, ClusterMask targets, Bytes payload, bool urgent) {
+void InterclusterBus::Transmit(ClusterId src, ClusterMask targets, Bytes payload, bool urgent,
+                               ClusterId fence) {
   AURAGEN_CHECK(src < endpoints_.size());
   AURAGEN_CHECK(targets != 0) << "frame with no destinations";
   Frame frame;
   frame.src = src;
   frame.targets = targets;
+  frame.fence = fence;
   frame.payload = MakePayload(std::move(payload));
   // §5.1 minimum propagation latency, sender to arbitration: the request
   // reaches the bus (its home shard) arbitration_us after the sender issued
@@ -81,7 +83,17 @@ void InterclusterBus::ForwardAccept(Frame frame, bool urgent) {
   AcceptFrame(std::move(frame), urgent);
 }
 
+void InterclusterBus::Reconnect(ClusterId cluster) { fenced_ &= ~MaskOf(cluster); }
+
 void InterclusterBus::AcceptFrame(Frame frame, bool urgent) {
+  if (MaskHas(fenced_, frame.src)) {
+    return;
+  }
+  // A notice that leaves for the trunk is delivered, and fences, only when
+  // its copy comes back in trunk order (fabric.h).
+  if (frame.fence != kNoCluster && !ForTrunk(frame)) {
+    fenced_ |= MaskOf(frame.fence);
+  }
   frame.frame_id = next_frame_id_;
   next_frame_id_ += binding_.frame_id_stride;
   frame.sent_at = LocalNow();
@@ -146,8 +158,7 @@ void InterclusterBus::OnTransmitComplete() {
   }
   ++stats_.frames_sent;
   stats_.bytes_sent += fl.frame.payload_size();
-  const ClusterMask remote = fl.frame.targets & ~local_mask_;
-  if (switch_ != nullptr && remote.any()) {
+  if (ForTrunk(fl.frame)) {
     // Multi-segment multicast: no destination — not even a local member —
     // is delivered from this transmission. The whole frame goes to the
     // fabric's trunk sequencer, which re-injects one copy per *target*

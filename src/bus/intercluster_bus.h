@@ -128,7 +128,16 @@ class InterclusterBus {
   // signaling is never delayed behind a deep data backlog. Urgent frames
   // stay FIFO among themselves; the relative order of regular frames is
   // untouched, so guarantee 2 still holds where it matters.
-  void Transmit(ClusterId src, ClusterMask targets, Bytes payload, bool urgent = false);
+  //
+  // `fence` marks a crash notice and names the cluster it accuses. From the
+  // moment this bus accepts the notice for delivery, it drops every frame
+  // the accused sends, unsent and unnumbered: the accused runs on until the
+  // notice reaches it, and nothing it sends in that window may reach a
+  // survivor that has begun its crash handling (§7.10.1). Reconnect lifts
+  // the fence when the accused restarts.
+  void Transmit(ClusterId src, ClusterMask targets, Bytes payload, bool urgent = false,
+                ClusterId fence = kNoCluster);
+  void Reconnect(ClusterId cluster);
 
   // --- fabric integration (segmented machine only) ---
   // Registers the segment's switch. A frame whose targets leave the local
@@ -177,6 +186,11 @@ class InterclusterBus {
   };
 
   void AcceptFrame(Frame frame, bool urgent);
+  // True when `frame` leaves this segment: it goes to the trunk whole and is
+  // delivered from the copies the trunk sends back.
+  bool ForTrunk(const Frame& frame) const {
+    return switch_ != nullptr && (frame.targets & ~local_mask_).any();
+  }
   void StartNext();
   void OnTransmitComplete();
   void Deliver(const Frame& frame);
@@ -193,6 +207,7 @@ class InterclusterBus {
   std::vector<BusEndpoint*> endpoints_;
   std::deque<Frame> pending_;
   std::deque<Frame> urgent_pending_;  // heartbeat lane, wins arbitration
+  ClusterMask fenced_;                // accused by an accepted crash notice
   bool transmitting_ = false;
   bool line_ok_[2] = {true, true};
   uint64_t next_frame_id_ = 1;

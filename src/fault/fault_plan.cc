@@ -263,9 +263,12 @@ FaultPlan MakeFaultPlan(uint64_t seed, const FaultPlanInputs& in) {
     case ScenarioKind::kBusDualLineOutage: {
       // §7.1's double fault: both lines of the dual bus die back-to-back.
       // Nothing crosses the bus until a restore, so heartbeats queue in the
-      // urgent lane — the dark window stays well under the 12ms heartbeat
-      // timeout so no peer falsely declares a cluster dead, and on restore
-      // the queued heartbeats must drain ahead of the data backlog.
+      // urgent lane and must drain ahead of the data backlog on restore.
+      // The dark window plus up to one heartbeat period can exceed the 12ms
+      // heartbeat timeout, so a peer may declare a live cluster dead. The
+      // bus then fences the accused at the crash notice, the accused fences
+      // itself when the notice reaches it, and its processes fail over as
+      // after a crash.
       plan.fullback = rng.Chance(0.5);
       SimTime t = rng.Range(20'000, 100'000);
       SimTime d1 = rng.Range(1, 500);        // second line dies mid-window
@@ -340,8 +343,7 @@ FaultPlan MakeFaultPlan(uint64_t seed, const FaultPlanInputs& in) {
 
 void InjectFaultPlan(Machine& machine, const FaultPlan& plan,
                      const std::vector<Gpid>& victims,
-                     const std::vector<ProcPlacement>& placements,
-                     InjectionLog* log) {
+                     const std::vector<ProcPlacement>& placements) {
   // Action times are relative to injection (Boot() has already advanced the
   // simulated clock). Faults are machine-level interventions that reach into
   // several shards (kernel state, bus line state), so they fire as control
@@ -359,11 +361,8 @@ void InjectFaultPlan(Machine& machine, const FaultPlan& plan,
       victim_home = placements[action.victim].primary;
     }
     machine.ScheduleControlAt(base + action.at, [&machine, action, index, victim_pid,
-                                                 victim_home, log] {
+                                                 victim_home] {
       auto record = [&](ClusterId cluster) {
-        if (log != nullptr) {
-          log->actions_fired++;
-        }
         if (machine.tracer() != nullptr) {
           machine.tracer()->Record(TraceEventKind::kFaultInject, cluster, 0, 0,
                                    static_cast<uint64_t>(action.kind), index);
@@ -373,9 +372,6 @@ void InjectFaultPlan(Machine& machine, const FaultPlan& plan,
         case FaultKind::kCrashCluster:
           if (!machine.ClusterAlive(action.cluster)) {
             return;
-          }
-          if (machine.tty_server_addr().primary == action.cluster && log != nullptr) {
-            log->tty_primary_crashed = true;
           }
           record(action.cluster);
           machine.CrashCluster(action.cluster);

@@ -612,6 +612,7 @@ std::unique_ptr<NativeProgram> Machine::MakeServerProgram(Gpid pid) {
 
 void Machine::OnServerTakeover(Gpid pid, ClusterId new_cluster) {
   server_locations_[pid.value] = new_cluster;
+  ++server_takeovers_[pid.value];
   auto patch = [&](ServerAddr& addr) {
     if (addr.pid == pid) {
       addr.primary = new_cluster;

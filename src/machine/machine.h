@@ -236,6 +236,11 @@ class Machine {
   // Exactly-once view: records deduplicated by (line, seq), concatenated.
   std::string TtyOutput(uint32_t line) const;
   uint64_t TtyDuplicates() const { return tty_duplicates_; }
+  // How often server `pid`'s backup has taken over (§7.9 failovers).
+  uint32_t ServerTakeovers(Gpid pid) const {
+    auto it = server_takeovers_.find(pid.value);
+    return it == server_takeovers_.end() ? 0 : it->second;
+  }
 
   // --- observation ---
   Kernel& kernel(ClusterId cluster) { return *kernels_[cluster]; }
@@ -327,6 +332,7 @@ class Machine {
 
   std::map<uint64_t, MirroredDisk*> server_disks_;  // pid.value -> disk
   std::map<uint64_t, ClusterId> server_locations_;  // pid.value -> cluster
+  std::map<uint64_t, uint32_t> server_takeovers_;   // pid.value -> count
 
   std::vector<TtyRecord> tty_raw_;
   std::map<uint32_t, std::map<uint64_t, std::string>> tty_dedup_;  // line -> seq -> text

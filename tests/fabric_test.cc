@@ -192,6 +192,41 @@ TEST(Fabric, DetachedClusterSkippedOthersStillDelivered) {
 
 // ------------------------------------------------------------ machine level
 
+// A crash notice (a frame with `fence` set) cuts its accused off at the
+// bus: frames the accused sends after the notice reach no cluster, in its
+// own segment or across the trunk, while everyone else's traffic flows. A
+// frame it sent before the notice is delivered everywhere. Re-attaching
+// (restart) lifts the fence at once: the restarted cluster's first frames
+// are delivered before it has sent any heartbeat.
+TEST(Fabric, CrashNoticeFencesTheAccusedUntilItReattaches) {
+  FabricFixture f;
+  const ClusterMask all = MaskOfRange(0, 4);
+  auto tags_at = [&](ClusterId c) {
+    std::vector<uint8_t> tags;
+    for (const Frame& fr : f.endpoints[c].frames) {
+      tags.push_back((*fr.payload)[0]);
+    }
+    return tags;
+  };
+  f.fabric.Transmit(2, all, Bytes{1});
+  f.engine.Run();
+  f.fabric.Transmit(0, all, Bytes{2}, /*urgent=*/false, /*fence=*/2);
+  f.engine.Run();
+  f.fabric.Transmit(2, all, Bytes{3});
+  f.fabric.Transmit(2, MaskOf(3), Bytes{4}, /*urgent=*/true);
+  f.fabric.Transmit(1, all, Bytes{5});
+  f.engine.Run();
+  for (ClusterId c = 0; c < 4; ++c) {
+    EXPECT_EQ(tags_at(c), (std::vector<uint8_t>{1, 2, 5})) << "cluster " << c;
+  }
+  f.fabric.AttachEndpoint(2, &f.endpoints[2]);
+  f.fabric.Transmit(2, MaskOf(3), Bytes{6});
+  f.fabric.Transmit(2, MaskOf(0), Bytes{7});
+  f.engine.Run();
+  EXPECT_EQ(tags_at(3), (std::vector<uint8_t>{1, 2, 5, 6}));
+  EXPECT_EQ(tags_at(0), (std::vector<uint8_t>{1, 2, 5, 7}));
+}
+
 TEST(Fabric, PlacementRejectsBackupInOtherSegment) {
   MachineOptions options;
   options.WithTopology(Topology::Uniform(2, 2));

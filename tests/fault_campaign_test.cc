@@ -167,6 +167,36 @@ TEST(FaultCampaign, BusDualLineOutageScenarioSurvives) {
   EXPECT_EQ(found, 3) << "scenario kind never drawn in 200 seeds";
 }
 
+// Dual-line outages whose dark window plus a heartbeat period outlasted the
+// heartbeat timeout: a peer declared live cluster 0, home of the tty
+// server's primary, dead. It fenced itself and the tty server failed over,
+// so §7.9's duplicate terminal records are allowed (content and the
+// workload digest still checked). They failed "duplicate tty records
+// without a tty-server crash" while only a planned crash of the tty
+// server's home allowed duplicates.
+TEST(FaultCampaign, DualLineFalseDeathAllowsTtyDuplicates) {
+  CampaignOptions opt;
+  for (uint64_t seed : {5028ull, 6053ull, 6682ull}) {
+    ScenarioResult result = RunScenario(seed, opt);
+    EXPECT_TRUE(result.ok) << "seed " << seed << " [" << result.scenario
+                           << "]: " << result.failure;
+    EXPECT_GT(result.crashes_handled, 0u) << "seed " << seed << ": no false death";
+    EXPECT_GT(result.tty_duplicates, 0u) << "seed " << seed;
+  }
+}
+
+// The same false death in seed 5931, where cluster 0 kept sending between
+// the bus accepting its crash notice and receiving it: a tty write from
+// that window reached the survivors, and the rolled-forward consumer sent
+// it again, so the user saw "bcdefghh…". The bus now fences the accused at
+// the notice, and the terminal output equals the fault-free reference.
+TEST(FaultCampaign, FalselyAccusedClusterWritesNothingAfterItsNotice) {
+  CampaignOptions opt;
+  ScenarioResult result = RunScenario(5931, opt);
+  EXPECT_TRUE(result.ok) << "[" << result.scenario << "]: " << result.failure;
+  EXPECT_GT(result.crashes_handled, 0u) << "no false death";
+}
+
 // A parallel campaign (seeds spread over a worker pool) must reproduce the
 // sequential campaign seed for seed — same outcomes, same trace digests.
 TEST(FaultCampaign, ParallelSeedsMatchSequential) {

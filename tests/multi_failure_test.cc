@@ -1,14 +1,16 @@
 // Multi-failure crash-path regression tests: overlapping crash windows,
 // crashes landing between a sync's page shipment and its apply, a backup
-// cluster dying before its primary (fullback re-protection), and a freshly
+// cluster dying before its primary (fullback re-protection), a freshly
 // chosen replacement-backup cluster dying before peers consume its
-// kBackupReady. Each scenario failed (stall, lost message, or AURAGEN_CHECK
-// fire) at some point during development of the fault-injection campaign;
-// the reproducing faultcamp seeds are recorded in tests/fault_campaign_test.cc.
+// kBackupReady, and a live cluster declared dead. Each scenario failed
+// (stall, lost message, or AURAGEN_CHECK fire) at some point during
+// development of the fault-injection campaign; the reproducing faultcamp
+// seeds are recorded in tests/fault_campaign_test.cc.
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "src/avm/assembler.h"
 #include "src/machine/machine.h"
@@ -301,6 +303,97 @@ TEST(MultiFailure, SaveLegArrivingAfterTakeoverFlipIsDelivered) {
   EXPECT_EQ(machine.ExitStatus(pair.producer), 0);
   EXPECT_EQ(machine.ExitStatus(pair.consumer), 0);
   EXPECT_EQ(machine.TtyOutput(0), ExpectedOutput(kItems));
+}
+
+// Records every frame a cluster receives, then hands it to the kernel.
+class FrameLog : public BusEndpoint {
+ public:
+  struct Arrival {
+    ClusterId src = kNoCluster;
+    MsgKind kind = MsgKind::kUser;
+    ClusterId accused = kNoCluster;  // kCrashNotice only
+    SimTime at = 0;
+  };
+
+  FrameLog(Machine& machine, ClusterId cluster)
+      : machine_(machine), kernel_(machine.kernel(cluster)) {
+    machine.bus().AttachEndpoint(cluster, this);
+  }
+
+  void OnFrame(const Frame& frame) override {
+    MsgView msg = MsgView::Parse(frame.payload);
+    Arrival a{frame.src, msg.header.kind, kNoCluster, machine_.Now()};
+    if (a.kind == MsgKind::kCrashNotice) {
+      a.accused = Decode<CrashNoticeBody>(msg.body()).dead;
+    }
+    arrivals.push_back(a);
+    kernel_.OnFrame(frame);
+  }
+
+  std::vector<Arrival> arrivals;
+
+ private:
+  Machine& machine_;
+  Kernel& kernel_;
+};
+
+// A dual-line outage longer than the heartbeat timeout: both clusters of a
+// two-cluster machine declare each other dead. The first crash notice the
+// bus accepts fences its accused, which keeps running until the notice
+// reaches it; nothing the accused sends after the notice — its own notice
+// included — may reach the survivor, or the survivor fences itself too and
+// the machine is lost. A restart lifts the fence: the restarted cluster's
+// first frames reach the survivor.
+TEST(MultiFailure, FalselyAccusedClusterIsCutOffAtTheNotice) {
+  MachineOptions options;
+  options.trace.enabled = true;
+  Machine machine(options);
+  machine.Boot();
+  FrameLog logs[2] = {FrameLog(machine, 0), FrameLog(machine, 1)};
+  const SimTime dark = machine.Now() + 5'000;
+  machine.ScheduleControlAt(dark, [&machine] {
+    machine.FailBusLine(0);
+    machine.FailBusLine(1);
+  });
+  machine.ScheduleControlAt(dark + 20'000, [&machine] {
+    machine.RestoreBusLine(0);
+    machine.RestoreBusLine(1);
+  });
+  machine.Run(60'000);
+
+  ClusterId survivor = kNoCluster;
+  ClusterId accused = kNoCluster;
+  for (const FrameLog& log : logs) {
+    for (const FrameLog::Arrival& a : log.arrivals) {
+      if (a.kind == MsgKind::kCrashNotice && survivor == kNoCluster) {
+        survivor = a.src;
+        accused = a.accused;
+      }
+    }
+  }
+  ASSERT_NE(survivor, kNoCluster) << "the outage declared no cluster dead";
+  ASSERT_NE(accused, survivor);
+  EXPECT_TRUE(machine.ClusterAlive(survivor));
+  EXPECT_FALSE(machine.ClusterAlive(accused));
+
+  const SimTime restart = machine.Now();
+  machine.RestoreCluster(accused);
+  machine.Run(20'000);
+  EXPECT_TRUE(machine.ClusterAlive(survivor));
+
+  bool noticed = false;
+  bool after_restart = false;
+  for (const FrameLog::Arrival& a : logs[survivor].arrivals) {
+    if (a.at >= restart) {
+      after_restart = after_restart || (a.src == accused && a.kind != MsgKind::kHeartbeat);
+    } else if (noticed) {
+      EXPECT_NE(a.src, accused) << MsgKindName(a.kind) << " from the accused at t=" << a.at
+                                << ", after its crash notice";
+    }
+    noticed = noticed || (a.kind == MsgKind::kCrashNotice && a.accused == accused);
+  }
+  EXPECT_TRUE(noticed);
+  EXPECT_TRUE(after_restart) << "the restarted cluster's frames never reached the survivor";
 }
 
 }  // namespace
