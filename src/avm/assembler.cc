@@ -12,10 +12,6 @@
 namespace auragen {
 namespace {
 
-struct Token {
-  std::string text;
-};
-
 // One operand as parsed: either a register, a literal, or a label reference
 // resolved in pass 2.
 struct Operand {
@@ -265,12 +261,6 @@ const std::map<std::string, Sys>& SysNames() {
   return kMap;
 }
 
-struct Emitter {
-  Bytes text;
-  Bytes data;
-  std::map<std::string, uint32_t> labels;  // resolved in pass 2 for data? two-pass below
-};
-
 // Size in bytes a line will occupy in its section. Pseudo-instructions may
 // expand to several instructions.
 struct Sizer {
@@ -377,6 +367,7 @@ class Assembler {
 
     out.ok = true;
     out.exe = std::move(exe);
+    out.labels = std::move(labels_);
     return out;
   }
 
@@ -430,12 +421,7 @@ class Assembler {
       return true;
     }
     if (m == ".align") {
-      // Sized during pass 1 by current offset — handled by caller? We align
-      // by padding to 8 in both passes using the same cursor rule, so we can
-      // compute it here only if we track the cursor. Simplify: .align pads a
-      // fixed 0..7; we instead forbid it in favour of automatic 8-alignment
-      // of .word.
-      *err = ".align unsupported (sections are 8-aligned; .word is naturally aligned)";
+      *err = ".align unsupported (data starts 8-aligned; nothing else is padded)";
       return false;
     }
     *err = "unknown mnemonic: " + m;

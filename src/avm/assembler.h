@@ -12,7 +12,8 @@
 //   .byte v, v, ...
 //   .ascii "s" / .asciz "s"
 //   .space N          — N zero bytes
-//   .align            — pad to an 8-byte boundary
+//   .align            — rejected; data starts at the first 8-byte boundary
+//                       after the text, and nothing else is padded
 //
 // Operands: registers r0..r15 (aliases sp=r14, lr=r15), immediates in
 // decimal / 0x hex / 'c' char / label, negative values allowed.
@@ -25,6 +26,8 @@
 #ifndef AURAGEN_SRC_AVM_ASSEMBLER_H_
 #define AURAGEN_SRC_AVM_ASSEMBLER_H_
 
+#include <cstdint>
+#include <map>
 #include <string>
 #include <string_view>
 
@@ -36,6 +39,9 @@ struct AsmOutput {
   bool ok = false;
   std::string error;   // "line N: message" when !ok
   Executable exe;
+  // Address of every label in `exe.image` (a data label's includes the
+  // data base). A caller can write a value at a labelled site of a copy.
+  std::map<std::string, uint32_t> labels;
 };
 
 AsmOutput Assemble(std::string_view source);

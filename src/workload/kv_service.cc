@@ -1,5 +1,6 @@
 #include "src/workload/kv_service.h"
 
+#include <algorithm>
 #include <cstdio>
 
 #include "src/base/check.h"
@@ -379,19 +380,38 @@ store: .space )" + S(store_words * 4) + R"(
 // Register plan: r6 table entry addr, r7 current fd, r8 request index,
 // r9 backup fd, r10 primary fd, r11/r12 scratch, r13 verification-failure
 // count (becomes the exit status).
+//
+// Every session of one KvOptions assembles to the same layout. Only the
+// labelled sites differ: the `li`s at stagger_li, session_li and
+// fin_session_li, and the data at pname, bname and table.
 
-Executable KvClientProgram(uint32_t session, const KvOptions& options) {
+namespace {
+
+// Stagger session start deterministically so thousands of clients don't
+// issue their first request on the same work quantum.
+uint32_t ClientStagger(uint32_t session, const KvOptions& options) {
+  if (options.think_spin == 0) return 1;
+  Rng rng(options.seed ^ (0xd6e8feb86659fd93ull * (session + 1)));
+  return 1 + static_cast<uint32_t>(rng.Below(4 * options.think_spin));
+}
+
+// First word of a plan table entry: the op, plus 256 if the reply is verified.
+uint32_t PlanOpWord(const KvRequest& r) { return r.op | (r.verify ? 256u : 0u); }
+
+void PutWord(Bytes& image, uint32_t at, uint32_t v) {
+  for (uint32_t i = 0; i < 4; ++i) {
+    image[at + i] = static_cast<uint8_t>(v >> (8 * i));
+  }
+}
+
+}  // namespace
+
+std::string KvClientSource(uint32_t session, const KvOptions& options) {
   AURAGEN_CHECK(session < options.sessions);
   const uint32_t partition = session % options.partitions;
   const bool replicated = options.replicas == 2;
   const std::vector<KvRequest> plan = PlanSession(session, options);
   const uint32_t nreq = static_cast<uint32_t>(plan.size());
-
-  // Stagger session start deterministically so thousands of clients don't
-  // issue their first request on the same work quantum.
-  Rng rng(options.seed ^ (0xd6e8feb86659fd93ull * (session + 1)));
-  const uint32_t stagger =
-      options.think_spin == 0 ? 1 : 1 + static_cast<uint32_t>(rng.Below(4 * options.think_spin));
 
   std::string src = R"(
 start:
@@ -415,7 +435,8 @@ start:
     li r11, 0
 stagger:
     addi r11, r11, 1
-    li r12, )" + S(stagger) + R"(
+stagger_li:
+    li r12, )" + S(ClientStagger(session, options)) + R"(
     blt r11, r12, stagger
     li r8, 0
 req_loop:
@@ -437,6 +458,7 @@ think:
     li r12, 255
     and r12, r1, r12
     st r12, r11, 0
+session_li:
     li r12, )" + S(session) + R"(
     st r12, r11, 4
     addi r12, r8, 1
@@ -494,6 +516,7 @@ next:
     li r11, req
     li r12, 3
     st r12, r11, 0
+fin_session_li:
     li r12, )" + S(session) + R"(
     st r12, r11, 4
     li r12, )" + S(nreq + 1) + R"(
@@ -557,14 +580,63 @@ pname: .ascii ")" + KvPrimaryChannel(partition, session) + R"("
   }
   src += "table:\n";
   for (const KvRequest& r : plan) {
-    src += ".word " + S(r.op | (r.verify ? 256u : 0u)) + "\n.word " + S(r.key) +
-           "\n.word " + S(r.value) + "\n";
+    src += ".word " + S(PlanOpWord(r)) + "\n.word " + S(r.key) + "\n.word " + S(r.value) + "\n";
   }
   src += R"(
 req: .space 20
 rep: .space 12
 )";
-  return MustAssemble(src);
+  return src;
+}
+
+KvClientTemplate::KvClientTemplate(const KvOptions& options) : options_(options) {
+  AURAGEN_CHECK(options.partitions <= 100 && options.sessions <= 10000)
+      << "channel name encoding is %02u/%04u";
+  AsmOutput out = Assemble(KvClientSource(0, options));
+  AURAGEN_CHECK(out.ok) << "assembly failed:" << out.error;
+  base_ = std::move(out.exe);
+  auto at = [&](const char* label) {
+    auto it = out.labels.find(label);
+    AURAGEN_CHECK(it != out.labels.end()) << "no label " << label;
+    return it->second;
+  };
+  auto li_imm_at = [&](const char* label) {
+    const uint32_t pc = at(label);
+    AURAGEN_CHECK(pc + kAvmInstrBytes <= base_.image.size() &&
+                  DecodeInstr(base_.image.data() + pc).op == Op::kLi)
+        << label << " does not label an li";
+    return pc + 4;  // imm32 is bytes 4..7
+  };
+  stagger_at_ = li_imm_at("stagger_li");
+  session_at_ = li_imm_at("session_li");
+  fin_session_at_ = li_imm_at("fin_session_li");
+  pname_at_ = at("pname");
+  bname_at_ = options.replicas == 2 ? at("bname") : 0;
+  table_at_ = at("table");
+}
+
+Executable KvClientTemplate::Program(uint32_t session) const {
+  AURAGEN_CHECK(session < options_.sessions);
+  const uint32_t partition = session % options_.partitions;
+  Executable exe = base_;
+  Bytes& image = exe.image;
+  PutWord(image, stagger_at_, ClientStagger(session, options_));
+  PutWord(image, session_at_, session);
+  PutWord(image, fin_session_at_, session);
+  const std::string pname = KvPrimaryChannel(partition, session);
+  std::copy(pname.begin(), pname.end(), image.begin() + pname_at_);
+  if (options_.replicas == 2) {
+    const std::string bname = KvBackupChannel(partition, session);
+    std::copy(bname.begin(), bname.end(), image.begin() + bname_at_);
+  }
+  uint32_t at = table_at_;
+  for (const KvRequest& r : PlanSession(session, options_)) {
+    PutWord(image, at, PlanOpWord(r));
+    PutWord(image, at + 4, r.key);
+    PutWord(image, at + 8, r.value);
+    at += 12;
+  }
+  return exe;
 }
 
 // --- deployment -----------------------------------------------------------
@@ -609,12 +681,12 @@ KvDeployment DeployKv(Machine& machine, const KvOptions& options) {
   if (client_homes.empty()) {
     for (uint32_t c = 0; c < C; ++c) client_homes.push_back(c);
   }
+  const KvClientTemplate clients(options);
   for (uint32_t s = 0; s < options.sessions; ++s) {
     const ClusterId home = client_homes[s % client_homes.size()];
     Machine::UserSpawnOptions so;
     so.backup_cluster = msgsys_backup(home);
-    d.clients.push_back(
-        machine.SpawnUserProgram(home, KvClientProgram(s, options), so));
+    d.clients.push_back(machine.SpawnUserProgram(home, clients.Program(s), so));
     d.client_clusters.push_back(home);
   }
   return d;

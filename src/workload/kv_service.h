@@ -83,7 +83,31 @@ std::string KvReplicaChannel(uint32_t partition);                    // ch:kr.PP
 // Program builders (exposed for tests; DeployKv drives them).
 Executable KvServerProgram(uint32_t partition, bool backup_role,
                            const KvOptions& options);
-Executable KvClientProgram(uint32_t session, const KvOptions& options);
+
+// The client program's assembly source for one session. KvClientTemplate
+// assembles session 0's; the others are the reference its copies must equal.
+std::string KvClientSource(uint32_t session, const KvOptions& options);
+
+// The client programs of every session of one KvOptions. The source is
+// assembled once; Program(s) copies that image and writes session s's
+// start stagger, session id, channel names and plan at the labelled sites.
+// The result is byte-identical to MustAssemble(KvClientSource(s, options)).
+class KvClientTemplate {
+ public:
+  explicit KvClientTemplate(const KvOptions& options);
+  Executable Program(uint32_t session) const;
+
+ private:
+  KvOptions options_;
+  Executable base_;  // session 0's program
+  // Addresses in base_.image of the per-session fields.
+  uint32_t stagger_at_ = 0;
+  uint32_t session_at_ = 0;
+  uint32_t fin_session_at_ = 0;
+  uint32_t pname_at_ = 0;
+  uint32_t bname_at_ = 0;  // replicas == 2 only
+  uint32_t table_at_ = 0;
+};
 
 // A deployed service: pids and placement of everything spawned.
 struct KvDeployment {

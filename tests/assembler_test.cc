@@ -144,6 +144,31 @@ after:
   EXPECT_EQ(DecodeAt(ref.exe, 2).imm, 2 * kAvmInstrBytes);
 }
 
+// AsmOutput::labels holds the addresses pass 2 resolved against: a text
+// label at its offset (after a two-instruction push too), a data label at
+// the 8-aligned data base plus its offset, and a label at end of file at
+// the end of its section.
+TEST(Assembler, LabelTableGivesEveryAddress) {
+  AsmOutput out = Assemble(R"(
+start:
+    push r1
+after_push:
+    li r2, word
+    .byte 9
+.data
+    .byte 1, 2, 3
+word: .word 7
+end:
+)");
+  ASSERT_TRUE(out.ok) << out.error;
+  // Text is three instructions and one byte (25 bytes): data starts at 32.
+  const std::map<std::string, uint32_t> want = {
+      {"start", 0}, {"after_push", 2 * kAvmInstrBytes}, {"word", 32 + 3}, {"end", 32 + 3 + 4}};
+  EXPECT_EQ(out.labels, want);
+  EXPECT_EQ(DecodeAt(out.exe, 2).imm, out.labels.at("word"));
+  EXPECT_EQ(out.exe.image.size(), out.labels.at("end"));
+}
+
 TEST(Assembler, ExitPseudo) {
   AsmOutput out = Assemble("exit 3\n");
   ASSERT_TRUE(out.ok) << out.error;

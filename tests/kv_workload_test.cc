@@ -98,6 +98,28 @@ TEST(KvWorkload, PlanIsDeterministic) {
   EXPECT_TRUE(a.back().verify);
 }
 
+// DeployKv assembles the client source once and writes each session's
+// fields into a copy of the image. A head-of-family backup that has not
+// synced recovers by re-running that image (§7.7), so every copy must equal
+// the full assembly of its own session's source, byte for byte.
+TEST(KvWorkload, ClientTemplateMatchesPerSessionAssembly) {
+  std::vector<KvOptions> shapes(5);
+  shapes[1].replicas = 2;
+  shapes[2].think_spin = 0;
+  shapes[3].requests_per_session = 2;
+  shapes[4].sessions = 10000;  // the widest channel names DeployKv accepts
+  shapes[4].partitions = 100;
+  for (const KvOptions& kv : shapes) {
+    const KvClientTemplate clients(kv);
+    for (uint32_t s = 0; s < kv.sessions; ++s) {
+      const Executable want = MustAssemble(KvClientSource(s, kv));
+      const Executable got = clients.Program(s);
+      ASSERT_EQ(got.image, want.image) << "session " << s << " of " << kv.sessions;
+      ASSERT_EQ(got.entry, want.entry) << "session " << s << " of " << kv.sessions;
+    }
+  }
+}
+
 // Message-system FT: crash a cluster mid-run. Takeover revives the lost
 // primaries and co-crashed clients transparently; no acked write is lost and
 // the client-side retry path never fires.
