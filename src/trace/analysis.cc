@@ -26,7 +26,8 @@ void LatencyHistogram::Add(SimTime us) {
     sub = static_cast<int>(us - lo);
   }
   if (sub >= kSubBuckets) sub = kSubBuckets - 1;
-  ++sub_buckets_[major][sub];
+  if (sub_buckets_.empty()) sub_buckets_.resize(kBuckets * kSubBuckets);
+  ++sub_buckets_[major * kSubBuckets + sub];
   ++count_;
   total_us_ += us;
   if (us < min_us_) min_us_ = us;
@@ -45,7 +46,7 @@ SimTime LatencyHistogram::Percentile(double q) const {
     const SimTime lo = major == 0 ? 0 : (SimTime{1} << major);
     const SimTime width = (SimTime{1} << (major + 1)) - lo;
     for (int sub = 0; sub < kSubBuckets; ++sub) {
-      cum += sub_buckets_[major][sub];
+      cum += sub_buckets_[major * kSubBuckets + sub];
       if (cum >= rank) {
         SimTime hi;
         if (width >= kSubBuckets) {
@@ -74,7 +75,7 @@ std::string LatencyHistogram::ToString() const {
   out += " |";
   for (int i = 0; i < kBuckets; ++i) {
     uint64_t in_major = 0;
-    for (int s = 0; s < kSubBuckets; ++s) in_major += sub_buckets_[i][s];
+    for (int s = 0; s < kSubBuckets; ++s) in_major += sub_buckets_[i * kSubBuckets + s];
     if (in_major == 0) continue;
     std::snprintf(buf, sizeof(buf), " [%" PRIu64 ",%" PRIu64 "):%" PRIu64,
                   i == 0 ? SimTime{0} : (SimTime{1} << i), SimTime{1} << (i + 1),
