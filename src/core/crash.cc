@@ -317,26 +317,19 @@ void Kernel::RebuildLostBackup(Pcb& pcb) {
 }
 
 uint64_t Kernel::FlipSavedEntries(Pcb& p) {
-  std::vector<RoutingEntry> copies;
   uint64_t replayed = 0;
-  for (RoutingEntry* e : routing_.EntriesOf(p.pid, /*backup=*/true)) {
-    copies.push_back(*e);
-    replayed += e->queue.size();
+  for (const RoutingEntry* e : routing_.EntriesOf(p.pid, /*backup=*/true)) {
+    replayed += e->queue().size();
   }
   env_.metrics().rollforward_msgs_replayed += replayed;
-  routing_.RemoveAllOf(p.pid, /*backup=*/true);
-  for (RoutingEntry& c : copies) {
-    RoutingEntry& ne = routing_.Create(c.channel, p.pid, /*backup=*/false);
-    c.queue.merge(ne.queue);  // early arrivals the new entry adopted
-    ne = std::move(c);
-    ne.backup_entry = false;
-    ne.own_backup_cluster = kNoCluster;  // set by a fullback's re-backup
-    ne.opened_since_sync = false;
-    if (ne.fd != kBadFd) {
-      p.fds[ne.fd] = FdBinding{ne.channel, static_cast<PeerKind>(ne.peer_kind)};
+  for (RoutingEntry* ne : routing_.PromoteBackupEntries(p.pid)) {
+    ne->own_backup_cluster = kNoCluster;  // set by a fullback's re-backup
+    ne->opened_since_sync = false;
+    if (ne->fd != kBadFd) {
+      p.fds[ne->fd] = FdBinding{ne->channel, static_cast<PeerKind>(ne->peer_kind)};
     }
-    if (ne.binding_tag == kBindSignalChannel) {
-      p.signal_channel = ne.channel;
+    if (ne->binding_tag == kBindSignalChannel) {
+      p.signal_channel = ne->channel;
     }
   }
   return replayed;
@@ -387,7 +380,7 @@ void Kernel::TakeOver(BackupPcb b) {
     p.next_fd = kctx.next_fd;
     p.next_group = kctx.next_group;
     for (const auto& [gid, fds] : kctx.groups) {
-      p.groups[gid] = fds;
+      p.groups[gid] = FdGroup(fds);
     }
     p.fork_seq = kctx.fork_seq;
     p.in_signal = kctx.in_signal;
@@ -516,7 +509,7 @@ std::vector<SavedQueueRecord> Kernel::CaptureSavedQueues(Pcb& pcb) {
       rec.writes_since_sync++;
     }
     // Unserviced messages travel so the new backup's saved queues match.
-    for (const QueuedMsg& q : e->queue) {
+    for (const QueuedMsg& q : e->queue()) {
       rec.queued.push_back(Encode(q.msg));
     }
     queues.push_back(std::move(rec));
@@ -541,7 +534,7 @@ void Kernel::RestoreSavedQueues(const BackupCreateBody& body) {
     }
     e.opened_since_sync = false;
     for (const Bytes& m : rec.queued) {
-      e.queue.push_back(QueuedMsg{next_arrival_seq_++, Decode<Msg>(m)});
+      routing_.Push(e, QueuedMsg{next_arrival_seq_++, Decode<Msg>(m)});
     }
   }
 }
@@ -773,8 +766,8 @@ void Kernel::HandleServerSync(const MsgView& msg) {
     if (e == nullptr) {
       continue;
     }
-    for (uint32_t i = 0; i < count && !e->queue.empty(); ++i) {
-      e->queue.pop_front();
+    for (uint32_t i = 0; i < count && !e->queue().empty(); ++i) {
+      routing_.PopFront(*e);
       env_.metrics().backup_msgs_trimmed++;
     }
     e->writes_since_sync = 0;

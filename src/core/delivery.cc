@@ -142,7 +142,7 @@ void Kernel::EnqueueAtEntry(RoutingEntry& entry, const MsgView& msg) {
   QueuedMsg q;
   q.arrival_seq = next_arrival_seq_++;
   q.msg = msg.ToOwned();  // the queue takes ownership: the one legal copy
-  entry.queue.push_back(std::move(q));
+  routing_.Push(entry, std::move(q));
 }
 
 void Kernel::DeliverAt(RoutingEntry& entry, const MsgView& msg) {

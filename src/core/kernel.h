@@ -187,9 +187,11 @@ class Kernel : public BusEndpoint {
   void ConsumeMessage(Pcb& pcb, RoutingEntry& entry, int64_t max, bool read_any);
   bool EntryReadable(const RoutingEntry& entry) const;
   RoutingEntry* EntryOfFd(Pcb& pcb, Fd fd);
-  // Lowest-arrival-seq readable entry of a process (read-any / which).
-  RoutingEntry* PickReadable(Pcb& pcb, const std::vector<Fd>& fds, Fd* out_fd);
-  RoutingEntry* PickReadableAny(Pcb& pcb);
+  // §7.5.1's lowest-arrival-seq rule, read off the routing table's readable
+  // index: the group's descriptor whose message arrived first (kBadFd if
+  // none is readable), and the process's oldest readable entry (read-any).
+  Fd PickReadable(const Pcb& pcb, const FdGroup& group) const;
+  RoutingEntry* PickReadableAny(const Pcb& pcb) const;
 
   // Send path: builds the three-destination message (§5.1) with §5.4
   // suppression for recovered processes. `counted=false` marks sends driven

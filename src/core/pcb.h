@@ -10,6 +10,7 @@
 #ifndef AURAGEN_SRC_CORE_PCB_H_
 #define AURAGEN_SRC_CORE_PCB_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -45,6 +46,20 @@ enum class PeerKind : uint8_t { kUserPeer = 0, kServerControl = 1, kServerFile =
 struct FdBinding {
   ChannelId channel;
   PeerKind peer = PeerKind::kUserPeer;
+};
+
+// A bunch group (§7.5.1): the descriptors in the order `bunch` named them,
+// which is the order the kernel context ships, and a sorted copy that
+// `which` tests membership against.
+struct FdGroup {
+  FdGroup() = default;
+  explicit FdGroup(std::vector<Fd> named) : fds(std::move(named)), sorted(fds) {
+    std::sort(sorted.begin(), sorted.end());
+  }
+  bool Contains(Fd fd) const { return std::binary_search(sorted.begin(), sorted.end(), fd); }
+
+  std::vector<Fd> fds;
+  std::vector<Fd> sorted;
 };
 
 struct Pcb {
@@ -91,7 +106,7 @@ struct Pcb {
   // Descriptor table and bunch groups (§7.5.1).
   std::map<Fd, FdBinding> fds;
   Fd next_fd = 0;
-  std::map<uint32_t, std::vector<Fd>> groups;
+  std::map<uint32_t, FdGroup> groups;
   uint32_t next_group = 1;
 
   // Sync bookkeeping (§5.2/§7.8).

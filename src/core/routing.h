@@ -18,6 +18,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <list>
+#include <map>
 #include <unordered_map>
 #include <vector>
 
@@ -38,6 +39,8 @@ struct QueuedMsg {
 };
 
 struct RoutingEntry {
+  RoutingEntry() = default;
+
   ChannelId channel;
   Gpid owner;                 // the local process (or backup) this end serves
   bool backup_entry = false;
@@ -52,9 +55,9 @@ struct RoutingEntry {
   uint8_t peer_mode = 0;      // peer's BackupMode (crash patching, §7.10.1)
   uint32_t binding_tag = 0;   // server-side meaning (e.g. tty line number)
 
-  // A list, not a deque: most entries are idle, and an empty list allocates
-  // nothing where libstdc++'s empty deque holds a 544-byte block.
-  std::list<QueuedMsg> queue;
+  // Incoming messages, head first. Read-only outside the RoutingTable: every
+  // push and pop goes through it, and it indexes the owner's readable entries.
+  const std::list<QueuedMsg>& queue() const { return queue_; }
 
   uint32_t reads_since_sync = 0;    // primary entries
   uint32_t writes_since_sync = 0;   // backup entries
@@ -67,13 +70,33 @@ struct RoutingEntry {
                                     // backup (§7.10.1 step 1)
   uint64_t writes_total = 0;        // diagnostics/metrics only
   uint64_t reads_total = 0;
+
+ private:
+  friend class RoutingTable;
+  // Only the table replaces a whole entry, so no assignment bypasses the
+  // readable index. (No move constructor either: a copy leaves the source's
+  // queue in place.)
+  RoutingEntry& operator=(const RoutingEntry&) = default;
+  RoutingEntry& operator=(RoutingEntry&&) = default;
+
+  // A list, not a deque: most entries are idle, and an empty list allocates
+  // nothing where libstdc++'s empty deque holds a 544-byte block.
+  std::list<QueuedMsg> queue_;
 };
 
 // Entries live at stable addresses: a RoutingEntry* stays valid until that
 // entry is removed (Remove, RemoveAllOf, or the table being replaced), across
 // any number of creates and removes of other keys.
+//
+// The table also answers §7.5.1's "which channel is readable first": per
+// owner, it indexes the primary entries with a non-empty queue by the
+// arrival sequence number of each queue's head. Arrival numbers come from
+// one per-kernel counter, so no two heads share one (the table CHECKs it).
 class RoutingTable {
  public:
+  // Head arrival sequence -> entry; begin() is the oldest readable message.
+  using ReadableIndex = std::map<uint64_t, RoutingEntry*>;
+
   RoutingTable() = default;
   RoutingTable(const RoutingTable&) = delete;
   RoutingTable& operator=(const RoutingTable&) = delete;
@@ -98,6 +121,19 @@ class RoutingTable {
 
   void Remove(ChannelId channel, Gpid owner, bool backup_entry);
 
+  // The only ways into and out of a queue.
+  void Push(RoutingEntry& entry, QueuedMsg msg);
+  QueuedMsg PopFront(RoutingEntry& entry);  // the queue must not be empty
+
+  // `owner`'s primary entries with a non-empty queue, oldest head first.
+  const ReadableIndex& ReadableOf(Gpid owner) const;
+
+  // Takeover (§7.10.1 step 2): each of `owner`'s backup entries becomes its
+  // primary entry, saved queue and counters intact, with the messages parked
+  // for the channel merged in by arrival sequence. Returns the new primary
+  // entries in ascending channel order.
+  std::vector<RoutingEntry*> PromoteBackupEntries(Gpid owner);
+
   // All entries owned by `owner` (primary or backup per flag), in ascending
   // channel order. Sync records and takeover iterate this order, so it
   // feeds the trace digest.
@@ -110,6 +146,7 @@ class RoutingTable {
   // particular order. `fn` may modify only the entry it is given — it must
   // not create or remove entries, touch another entry, or emit anything
   // (trace records, messages) — so the visit order cannot reach behaviour.
+  // The queue is read-only to `fn`, so the readable index stays exact.
   template <typename Fn>
   void ForEach(Fn&& fn) {
     for (auto& [key, entry] : entries_) {
@@ -137,11 +174,21 @@ class RoutingTable {
     return Key{kNoChannel, owner, backup_entry};
   }
 
+  struct Owned {
+    std::vector<RoutingEntry*> entries;  // ascending channel order
+    ReadableIndex readable;              // primary role only
+  };
+
   void AdoptParked(RoutingEntry& entry, bool backup_entry);
+  // Take a primary entry's head out of, and put it back into, its owner's
+  // index around any change to the head of its queue.
+  void Unindex(const RoutingEntry& entry);
+  void Index(RoutingEntry& entry);
+  ReadableIndex& IndexOf(const RoutingEntry& entry);
 
   std::unordered_map<Key, RoutingEntry, KeyHash> entries_;
-  // (owner, role) -> that owner's entries in ascending channel order.
-  std::unordered_map<Key, std::vector<RoutingEntry*>, KeyHash> by_owner_;
+  // (owner, role) -> that owner's entries and readable index.
+  std::unordered_map<Key, Owned, KeyHash> by_owner_;
   std::unordered_map<Key, std::list<QueuedMsg>, KeyHash> parked_;
 };
 

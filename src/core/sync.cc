@@ -436,8 +436,8 @@ Bytes Kernel::CaptureKernelContext(Pcb& pcb) {
   kctx.body_context = pcb.body->CaptureContext();
   kctx.next_fd = pcb.next_fd;
   kctx.next_group = pcb.next_group;
-  for (const auto& [gid, fds] : pcb.groups) {
-    kctx.groups.emplace_back(gid, fds);
+  for (const auto& [gid, group] : pcb.groups) {
+    kctx.groups.emplace_back(gid, group.fds);
   }
   kctx.fork_seq = pcb.fork_seq;
   kctx.in_signal = pcb.in_signal;
@@ -507,11 +507,11 @@ void Kernel::ApplySyncAtBackup(const SyncRecord& record) {
     }
     // §5.2: reads done by the primary let the backup discard that many
     // saved messages; §7.8 step 4 zeroes the write count.
-    AURAGEN_CHECK(entry->queue.size() >= rec.reads_since_sync)
+    AURAGEN_CHECK(entry->queue().size() >= rec.reads_since_sync)
         << "backup queue shorter than primary reads: ch" << rec.channel.value << "have"
-        << entry->queue.size() << "need" << rec.reads_since_sync;
+        << entry->queue().size() << "need" << rec.reads_since_sync;
     for (uint32_t i = 0; i < rec.reads_since_sync; ++i) {
-      entry->queue.pop_front();
+      routing_.PopFront(*entry);
       env_.metrics().backup_msgs_trimmed++;
     }
     if (tracer_ != nullptr && rec.reads_since_sync > 0) {
@@ -685,8 +685,8 @@ void Kernel::ApplyCheckpointAtBackup(const MsgView& msg) {
     if (rec.fd != kBadFd) {
       b.fds[rec.fd] = rec.channel;
     }
-    for (uint32_t k = 0; k < rec.reads_since_checkpoint && !entry->queue.empty(); ++k) {
-      entry->queue.pop_front();
+    for (uint32_t k = 0; k < rec.reads_since_checkpoint && !entry->queue().empty(); ++k) {
+      routing_.PopFront(*entry);
     }
   }
 

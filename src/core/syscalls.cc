@@ -39,7 +39,7 @@ RoutingEntry* Kernel::EntryOfFd(Pcb& pcb, Fd fd) {
   return routing_.Find(it->second.channel, pcb.pid, /*backup=*/false);
 }
 
-bool Kernel::EntryReadable(const RoutingEntry& entry) const { return !entry.queue.empty(); }
+bool Kernel::EntryReadable(const RoutingEntry& entry) const { return !entry.queue().empty(); }
 
 void Kernel::CompleteAndReady(Pcb& pcb, int64_t rv, Bytes data) {
   SyscallResult res;
@@ -106,42 +106,31 @@ void Kernel::SendOnChannel(Pcb& pcb, RoutingEntry& entry, MsgKind kind, Bytes bo
 
 // ------------------------------------------------------------------- reads
 
-RoutingEntry* Kernel::PickReadable(Pcb& pcb, const std::vector<Fd>& fds, Fd* out_fd) {
-  RoutingEntry* best = nullptr;
-  Fd best_fd = kBadFd;
-  for (Fd fd : fds) {
-    RoutingEntry* e = EntryOfFd(pcb, fd);
-    if (e == nullptr || e->queue.empty()) {
+Fd Kernel::PickReadable(const Pcb& pcb, const FdGroup& group) const {
+  // The readable index runs oldest head first, so the first entry whose
+  // descriptor is in the group, and still bound to that entry's channel, is
+  // the group's lowest arrival. A descriptor reaches only the entry that
+  // records it: ConsumeMessage CHECKs that an open reply naming an existing
+  // entry leaves no second descriptor bound to its channel.
+  for (const auto& [seq, e] : routing_.ReadableOf(pcb.pid)) {
+    if (!group.Contains(e->fd)) {
       continue;
     }
-    if (best == nullptr || e->queue.front().arrival_seq < best->queue.front().arrival_seq) {
-      best = e;
-      best_fd = fd;
+    auto it = pcb.fds.find(e->fd);
+    if (it != pcb.fds.end() && it->second.channel == e->channel) {
+      return e->fd;
     }
   }
-  if (out_fd != nullptr) {
-    *out_fd = best_fd;
-  }
-  return best;
+  return kBadFd;
 }
 
-RoutingEntry* Kernel::PickReadableAny(Pcb& pcb) {
-  RoutingEntry* best = nullptr;
-  for (RoutingEntry* e : routing_.EntriesOf(pcb.pid, /*backup=*/false)) {
-    if (e->queue.empty()) {
-      continue;
-    }
-    if (best == nullptr || e->queue.front().arrival_seq < best->queue.front().arrival_seq) {
-      best = e;
-    }
-  }
-  return best;
+RoutingEntry* Kernel::PickReadableAny(const Pcb& pcb) const {
+  const RoutingTable::ReadableIndex& readable = routing_.ReadableOf(pcb.pid);
+  return readable.empty() ? nullptr : readable.begin()->second;
 }
 
 void Kernel::ConsumeMessage(Pcb& pcb, RoutingEntry& entry, int64_t max, bool read_any) {
-  AURAGEN_CHECK(!entry.queue.empty());
-  QueuedMsg q = std::move(entry.queue.front());
-  entry.queue.pop_front();
+  QueuedMsg q = routing_.PopFront(entry);
 
   pcb.reads_since_sync++;
   pcb.reads_total++;
@@ -158,6 +147,12 @@ void Kernel::ConsumeMessage(Pcb& pcb, RoutingEntry& entry, int64_t max, bool rea
     }
     Fd fd = pcb.next_fd++;
     RoutingEntry* existing = routing_.Find(reply.channel, pcb.pid, /*backup=*/false);
+    if (existing != nullptr && existing->fd != fd) {
+      auto bound = pcb.fds.find(existing->fd);
+      AURAGEN_CHECK(bound == pcb.fds.end() || bound->second.channel != reply.channel)
+          << "open reply binds ch" << reply.channel.value << "to fd" << fd << "while fd"
+          << existing->fd << "still holds it";
+    }
     RoutingEntry& ne = existing != nullptr
                            ? *existing
                            : routing_.Create(reply.channel, pcb.pid, /*backup=*/false);
@@ -260,8 +255,8 @@ void Kernel::TryCompleteBlocked(Pcb& pcb) {
         CompleteAndReady(pcb, NegErr(Errc::kInvalid));
         return;
       }
-      Fd fd = kBadFd;
-      if (PickReadable(pcb, git->second, &fd) != nullptr) {
+      Fd fd = PickReadable(pcb, git->second);
+      if (fd != kBadFd) {
         CompleteAndReady(pcb, fd);
       }
       return;
@@ -489,7 +484,7 @@ void Kernel::SysBunch(Pcb& pcb, const SyscallRequest& req) {
     fds.push_back(fd);
   }
   uint32_t group = pcb.next_group++;
-  pcb.groups[group] = std::move(fds);
+  pcb.groups[group] = FdGroup(std::move(fds));
   CompleteAndReady(pcb, group);
 }
 
@@ -500,8 +495,8 @@ void Kernel::SysWhich(Pcb& pcb, const SyscallRequest& req) {
     CompleteAndReady(pcb, NegErr(Errc::kInvalid));
     return;
   }
-  Fd fd = kBadFd;
-  if (PickReadable(pcb, it->second, &fd) != nullptr) {
+  Fd fd = PickReadable(pcb, it->second);
+  if (fd != kBadFd) {
     CompleteAndReady(pcb, fd);
     return;
   }
@@ -547,13 +542,13 @@ void Kernel::DeliverPendingSignal(Pcb& pcb) {
     return;
   }
   RoutingEntry* sig = routing_.Find(pcb.signal_channel, pcb.pid, /*backup=*/false);
-  if (sig == nullptr || sig->queue.empty()) {
+  if (sig == nullptr || sig->queue().empty()) {
     return;
   }
 
   if (pcb.sig_handler == 0) {
     // Ignored: remove from the queue and count as a read (§7.5.2).
-    sig->queue.pop_front();
+    routing_.PopFront(*sig);
     pcb.reads_since_sync++;
     pcb.reads_total++;
     sig->reads_since_sync++;
@@ -585,8 +580,7 @@ void Kernel::DeliverPendingSignal(Pcb& pcb) {
       pcb.backup_cluster != kNoCluster) {
     ForceSync(pcb, /*signal_forced=*/true);
   }
-  QueuedMsg q = std::move(sig->queue.front());
-  sig->queue.pop_front();
+  QueuedMsg q = routing_.PopFront(*sig);
   pcb.reads_since_sync++;
   pcb.reads_total++;
   sig->reads_since_sync++;

@@ -305,6 +305,201 @@ buf: .space 4
   EXPECT_EQ(machine.TtyOutput(0), "AB");
 }
 
+// Opens `channel` (four bytes, "ch:x"), spins `delay` loop iterations,
+// writes the one byte `byte` and exits.
+Executable DelayedSender(const std::string& channel, char byte, int delay) {
+  return MustAssemble(R"(
+start:
+    li r1, name
+    li r2, 4
+    sys open
+    mov r5, r0
+    li r8, 0
+delay:
+    addi r8, r8, 1
+    li r9, )" + std::to_string(delay) + R"(
+    blt r8, r9, delay
+    mov r1, r5
+    li r2, msg
+    li r3, 1
+    sys write
+    exit 0
+.data
+name: .ascii ")" + channel + R"("
+msg: .ascii ")" + std::string(1, byte) + R"("
+)");
+}
+
+// Whether `pid`'s primary entries on cluster 1 (descriptors 3 and up)
+// include one that satisfies `pred`.
+bool AnyUserEntry(Machine& machine, Gpid pid, const std::function<bool(const RoutingEntry&)>& pred) {
+  bool found = false;
+  machine.kernel(1).routing().ForEach([&](RoutingEntry& e) {
+    found = found || (e.owner == pid && !e.backup_entry && e.fd >= 3 && pred(e));
+  });
+  return found;
+}
+
+bool BlockedInWhich(Machine& machine, Gpid pid) {
+  const Pcb* p = machine.kernel(1).FindProcess(pid);
+  return p != nullptr && p->state == ProcState::kBlockedWhich;
+}
+
+TEST(Features, WhichIgnoresOlderMessageOutsideGroup) {
+  Machine machine(TwoClusters());
+  machine.Boot();
+  // Group {b} waits while A's older message sits on a; group {a, b} then
+  // proves A's message is the older one by returning a.
+  Executable receiver = MustAssemble(R"(
+start:
+    li r1, name_a
+    li r2, 4
+    sys open
+    mov r5, r0
+    li r1, name_b
+    li r2, 4
+    sys open
+    mov r6, r0
+    li r11, fds
+    st r6, r11, 0
+    st r5, r11, 4
+    st r6, r11, 8
+    li r1, fds
+    li r2, 1
+    sys bunch         ; {fd_b}
+    mov r7, r0
+    li r1, fds
+    addi r1, r1, 4
+    li r2, 2
+    sys bunch         ; {fd_a, fd_b}
+    mov r10, r0
+    mov r1, r7
+    sys which
+    bne r0, r6, bad1
+    mov r1, r10
+    sys which
+    bne r0, r5, bad2
+    exit 0
+bad1:
+    exit 1
+bad2:
+    exit 2
+.data
+name_a: .ascii "ch:a"
+name_b: .ascii "ch:b"
+fds: .space 12
+)");
+  machine.SpawnUserProgram(0, DelayedSender("ch:a", 'A', 0));
+  machine.SpawnUserProgram(0, DelayedSender("ch:b", 'B', 3000));
+  Gpid rpid = machine.SpawnUserProgram(1, receiver);
+  ASSERT_TRUE(machine.RunUntilAllExited(30'000'000));
+  EXPECT_EQ(machine.ExitStatus(rpid), 0);
+}
+
+TEST(Features, WhichSkipsDescriptorClosedAfterBunch) {
+  Machine machine(TwoClusters());
+  machine.Boot();
+  // The receiver learns that a is readable, closes it unread and waits
+  // again. a's entry outlives the close until the next sync, A's message
+  // still queued, so the second `which` must skip it and return b.
+  Executable receiver = MustAssemble(R"(
+start:
+    li r1, name_a
+    li r2, 4
+    sys open
+    mov r5, r0
+    li r1, name_b
+    li r2, 4
+    sys open
+    mov r6, r0
+    li r11, fds
+    st r5, r11, 0
+    st r6, r11, 4
+    li r1, fds
+    li r2, 2
+    sys bunch
+    mov r7, r0
+    mov r1, r7
+    sys which
+    bne r0, r5, bad1
+    mov r1, r5
+    sys close
+    mov r1, r7
+    sys which
+    bne r0, r6, bad2
+    exit 0
+bad1:
+    exit 1
+bad2:
+    exit 2
+.data
+name_a: .ascii "ch:a"
+name_b: .ascii "ch:b"
+fds: .space 8
+)");
+  Machine::UserSpawnOptions ropts;
+  ropts.sync_reads_limit = 1000;  // no sync removes the closed entry early
+  ropts.sync_time_limit_us = 60'000'000;
+  machine.SpawnUserProgram(0, DelayedSender("ch:a", 'A', 0));
+  machine.SpawnUserProgram(0, DelayedSender("ch:b", 'B', 20000));
+  Gpid rpid = machine.SpawnUserProgram(1, receiver, ropts);
+  ASSERT_TRUE(machine.RunUntil(
+      [&] {
+        return BlockedInWhich(machine, rpid) &&
+               AnyUserEntry(machine, rpid, [](const RoutingEntry& e) {
+                 return e.closed_local && !e.queue().empty();
+               });
+      },
+      30'000'000));
+  ASSERT_TRUE(machine.RunUntilAllExited(30'000'000));
+  EXPECT_EQ(machine.ExitStatus(rpid), 0);
+}
+
+TEST(Features, WhichBlockedOnEmptyGroupWakesOnFirstArrival) {
+  Machine machine(TwoClusters());
+  machine.Boot();
+  Executable receiver = MustAssemble(R"(
+start:
+    li r1, name_a
+    li r2, 4
+    sys open
+    mov r5, r0
+    li r1, name_b
+    li r2, 4
+    sys open
+    mov r6, r0
+    li r11, fds
+    st r5, r11, 0
+    st r6, r11, 4
+    li r1, fds
+    li r2, 2
+    sys bunch
+    mov r1, r0
+    sys which
+    bne r0, r6, bad
+    exit 0
+bad:
+    exit 1
+.data
+name_a: .ascii "ch:a"
+name_b: .ascii "ch:b"
+fds: .space 8
+)");
+  machine.SpawnUserProgram(0, DelayedSender("ch:a", 'A', 40000));
+  machine.SpawnUserProgram(0, DelayedSender("ch:b", 'B', 20000));
+  Gpid rpid = machine.SpawnUserProgram(1, receiver);
+  // The wait begins with nothing queued on either descriptor.
+  ASSERT_TRUE(machine.RunUntil(
+      [&] {
+        return BlockedInWhich(machine, rpid) &&
+               !AnyUserEntry(machine, rpid,
+                             [](const RoutingEntry& e) { return !e.queue().empty(); });
+      },
+      30'000'000));
+  ASSERT_TRUE(machine.RunUntilAllExited(30'000'000));
+  EXPECT_EQ(machine.ExitStatus(rpid), 0);
+}
+
 TEST(Features, TtyInputReachesReader) {
   Machine machine(TwoClusters());
   machine.Boot();

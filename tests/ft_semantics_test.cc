@@ -115,7 +115,7 @@ TEST(FtSemantics, SyncTrimsBackupQueuesAndZeroesCounts) {
   size_t saved = 0;
   machine.kernel(0).routing().ForEach([&](RoutingEntry& e) {
     if (e.owner == sink && e.backup_entry) {
-      saved += e.queue.size();
+      saved += e.queue().size();
     }
   });
   EXPECT_LT(saved, 20u);

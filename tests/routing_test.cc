@@ -85,11 +85,12 @@ TEST(RoutingTable, CreateReplacesStaleEntry) {
   e1.reads_since_sync = 9;
   e1.fd = 4;
   e1.closed_by_peer = true;
-  e1.queue.push_back(QueuedMsg{});
+  table.Push(e1, QueuedMsg{});
   RoutingEntry& e2 = table.Create(kCh1, kA, false);
   EXPECT_EQ(&e2, &e1);  // reset in place: held pointers see the fresh entry
   EXPECT_EQ(table.Find(kCh1, kA, false), &e2);
-  EXPECT_TRUE(e2.queue.empty());
+  EXPECT_TRUE(e2.queue().empty());
+  EXPECT_TRUE(table.ReadableOf(kA).empty());  // the reset unindexed it
   EXPECT_EQ(e2.reads_since_sync, 0u);
   EXPECT_EQ(e2.fd, kBadFd);
   EXPECT_FALSE(e2.closed_by_peer);
@@ -119,14 +120,14 @@ TEST(RoutingTable, ParkedArrivalsReachTheEntryWhenItIsCreated) {
 
   RoutingEntry& primary = table.Create(kCh1, kA, /*backup=*/false);
   std::vector<uint64_t> seqs;
-  for (const QueuedMsg& q : primary.queue) {
+  for (const QueuedMsg& q : primary.queue()) {
     seqs.push_back(q.arrival_seq);
   }
   EXPECT_EQ(seqs, (std::vector<uint64_t>{2, 3, 5}));
-  EXPECT_TRUE(table.Create(kCh1, kA, /*backup=*/true).queue.empty());  // taken
+  EXPECT_TRUE(table.Create(kCh1, kA, /*backup=*/true).queue().empty());  // taken
 
   RoutingEntry& closed = table.Create(kCh2, kA, /*backup=*/true);
-  EXPECT_TRUE(closed.queue.empty());
+  EXPECT_TRUE(closed.queue().empty());
   EXPECT_TRUE(closed.closed_by_peer);
 }
 
@@ -135,8 +136,8 @@ TEST(RoutingTable, DropParkedForgetsOnlyThatOwner) {
   table.Park(kCh1, kA, /*backup=*/false, Arrival(1));
   table.Park(kCh1, kB, /*backup=*/false, Arrival(2));
   table.DropParked(kA);
-  EXPECT_TRUE(table.Create(kCh1, kA, /*backup=*/false).queue.empty());
-  EXPECT_EQ(table.Create(kCh1, kB, /*backup=*/false).queue.size(), 1u);
+  EXPECT_TRUE(table.Create(kCh1, kA, /*backup=*/false).queue().empty());
+  EXPECT_EQ(table.Create(kCh1, kB, /*backup=*/false).queue().size(), 1u);
 }
 
 TEST(RoutingTable, ForEachVisitsEverything) {
@@ -180,7 +181,7 @@ TEST(RoutingTable, PointersSurviveOtherCreatesAndRemoves) {
   RoutingTable table;
   RoutingEntry* created = &table.Create(kCh1, kA, false);
   created->reads_since_sync = 42;
-  created->queue.push_back(QueuedMsg{7, Msg{}});
+  table.Push(*created, QueuedMsg{7, Msg{}});
   table.Create(kCh2, kA, true);
   RoutingEntry* found = table.Find(kCh2, kA, true);
   for (uint64_t ch = 1000; ch < 3000; ++ch) {  // forces several rehashes
@@ -193,8 +194,8 @@ TEST(RoutingTable, PointersSurviveOtherCreatesAndRemoves) {
   EXPECT_EQ(table.Find(kCh1, kA, false), created);
   EXPECT_EQ(table.Find(kCh2, kA, true), found);
   EXPECT_EQ(created->reads_since_sync, 42u);
-  ASSERT_EQ(created->queue.size(), 1u);
-  EXPECT_EQ(created->queue.front().arrival_seq, 7u);
+  ASSERT_EQ(created->queue().size(), 1u);
+  EXPECT_EQ(created->queue().front().arrival_seq, 7u);
 }
 
 TEST(RoutingTable, RemoveKeepsFindAndEntriesOfConsistent) {
@@ -306,6 +307,82 @@ TEST(RoutingTable, MatchesOrderedMapModelUnderRandomOps) {
       EXPECT_EQ(table.Find(ChannelId{std::get<0>(k)}, Gpid{std::get<1>(k)}, std::get<2>(k)),
                 live.addr);
       EXPECT_EQ(live.addr->reads_total, live.tag);
+    }
+  }
+}
+
+// The reference the readable index replaced: every primary entry of `owner`
+// with a non-empty queue, keyed by its head's arrival sequence number.
+RoutingTable::ReadableIndex ScanReadable(RoutingTable& table, Gpid owner) {
+  RoutingTable::ReadableIndex want;
+  for (RoutingEntry* e : table.EntriesOf(owner, /*backup=*/false)) {
+    if (!e->queue().empty()) {
+      EXPECT_TRUE(want.emplace(e->queue().front().arrival_seq, e).second);
+    }
+  }
+  return want;
+}
+
+TEST(RoutingTable, ReadableIndexMatchesScanUnderRandomOps) {
+  // Every queue mutation path — creation with parked adoption under both
+  // roles, a stale entry's reset, push, pop, remove, remove-all and the
+  // takeover promotion — against a brute-force scan after every step.
+  // Arrival numbers come from one counter, as in a kernel.
+  const Gpid owners[] = {kA, kB, Gpid::Make(2, 12)};
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    RoutingTable table;
+    uint64_t next_seq = 1;
+    for (int op = 0; op < 2000; ++op) {
+      const ChannelId ch{1 + rng.Below(8)};
+      const Gpid owner = owners[rng.Below(3)];
+      const bool backup = rng.Below(2) == 1;
+      RoutingEntry* e = table.Find(ch, owner, backup);
+      switch (rng.Below(9)) {
+        case 0:
+        case 1:
+          table.Create(ch, owner, backup);
+          break;
+        case 2:
+          if (e == nullptr) {  // the kernel parks only for a missing entry
+            table.Park(ch, owner, backup,
+                       Arrival(next_seq++, rng.Below(6) == 0 ? MsgKind::kClose : MsgKind::kUser));
+          }
+          break;
+        case 3:
+        case 4:
+          if (e != nullptr) {
+            table.Push(*e, Arrival(next_seq++));
+          }
+          break;
+        case 5:
+          if (e != nullptr && !e->queue().empty()) {
+            const uint64_t head = e->queue().front().arrival_seq;
+            EXPECT_EQ(table.PopFront(*e).arrival_seq, head);
+          }
+          break;
+        case 6:
+          table.Remove(ch, owner, backup);
+          break;
+        case 7:
+          if (rng.Below(8) == 0) {
+            table.RemoveAllOf(owner, backup);
+          }
+          break;
+        default:
+          if (rng.Below(4) == 0) {
+            for (const RoutingEntry* p : table.PromoteBackupEntries(owner)) {
+              EXPECT_FALSE(p->backup_entry);
+              EXPECT_EQ(table.Find(p->channel, owner, /*backup=*/false), p);
+            }
+            EXPECT_TRUE(table.EntriesOf(owner, /*backup=*/true).empty());
+          }
+          break;
+      }
+      for (const Gpid o : owners) {
+        ASSERT_EQ(table.ReadableOf(o), ScanReadable(table, o))
+            << "seed " << seed << " op " << op << " owner " << o.value;
+      }
     }
   }
 }
