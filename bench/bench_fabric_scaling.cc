@@ -18,14 +18,12 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <utility>
 #include <vector>
 
 #include "src/base/rng.h"
 #include "src/bus/fabric.h"
 #include "src/machine/machine.h"
-#include "src/machine/shard_plan.h"
-#include "src/sim/sharded_engine.h"
+#include "src/sim/engine.h"
 #include "src/workload/kv_service.h"
 
 namespace auragen::bench {
@@ -47,7 +45,7 @@ Bytes StampedPayload(SimTime now) {
 }
 
 struct LatencyEndpoint : BusEndpoint {
-  ShardedEngine* engine = nullptr;
+  Engine* engine = nullptr;
   uint64_t received = 0;
   uint64_t latency_sum_us = 0;
   void OnFrame(const Frame& frame) override {
@@ -56,15 +54,14 @@ struct LatencyEndpoint : BusEndpoint {
       sent |= static_cast<SimTime>((*frame.payload)[static_cast<size_t>(i)]) << (8 * i);
     }
     ++received;
-    latency_sum_us += engine->ShardNow(engine->CurrentShard()) - sent;
+    latency_sum_us += engine->Now() - sent;
   }
 };
 
 // Pure fabric run (no kernels): `clusters * kFramesPerCluster` three-target
 // multicasts injected evenly across a fixed window, 3/4 segment-local and
 // 1/4 spanning a remote segment — the paper's locality assumption that makes
-// segmentation pay. The fabric sits on the machine's ShardPlan layout, and
-// each frame is sent from its source cluster's shard.
+// segmentation pay. The fabric runs on one Engine, as in the machine.
 void BM_FabricDelivery(benchmark::State& state) {
   const uint32_t clusters = static_cast<uint32_t>(state.range(0));
   const uint32_t segments = static_cast<uint32_t>(state.range(1));
@@ -72,13 +69,8 @@ void BM_FabricDelivery(benchmark::State& state) {
 
   for (auto _ : state) {
     const Topology topo = Topology::Uniform(segments, clusters / segments);
-    const ShardPlan plan = MakeShardPlan(topo, DiskConfig{});
-    ShardedEngine engine(plan.EngineOptions());
-    std::vector<uint32_t> segment_shards;
-    for (SegmentId s = 0; s < topo.num_segments(); ++s) {
-      segment_shards.push_back(plan.shard_of_segment(s));
-    }
-    Fabric fabric(engine, topo, std::move(segment_shards));
+    Engine engine;
+    Fabric fabric(engine, topo);
     std::vector<LatencyEndpoint> endpoints(clusters);
     for (ClusterId c = 0; c < clusters; ++c) {
       endpoints[c].engine = &engine;
@@ -102,9 +94,8 @@ void BM_FabricDelivery(benchmark::State& state) {
                MaskOf(static_cast<ClusterId>(rng.Below(clusters)));
       }
       mask |= MaskOf((src + 1) % clusters);  // the sender's-backup leg
-      const ShardId home = plan.shard_of_cluster(src);
-      engine.ScheduleAtOn(home, at, [&engine, &fabric, home, src, mask] {
-        fabric.Transmit(src, mask, StampedPayload(engine.ShardNow(home)));
+      engine.ScheduleAt(at, [&engine, &fabric, src, mask] {
+        fabric.Transmit(src, mask, StampedPayload(engine.Now()));
       });
     }
     engine.Run();
@@ -153,7 +144,7 @@ struct RunResult {
 };
 
 // Full-machine run on a segmented topology: boot, deploy the KV workload,
-// run to completion. Digest covers every traced event in merge order.
+// run to completion. Digest covers every traced event in dispatch order.
 RunResult RunSegmentedMachine(uint32_t segments) {
   constexpr uint32_t kClusters = 16;
   MachineOptions mo;
@@ -180,25 +171,24 @@ RunResult RunSegmentedMachine(uint32_t segments) {
   return r;
 }
 
-// Reference digests per segment count, recorded before the in-machine
-// worker pool was removed. Re-pinning one requires a stated reason in
-// CHANGES.md: a changed digest means changed behaviour.
+// Reference digests per segment count, re-pinned once when the windowed
+// engine was retired (one heap, no lookahead hops). Re-pinning one requires
+// a stated reason in CHANGES.md: a changed digest means changed behaviour.
 RunResult Pinned(uint32_t segments) {
   switch (segments) {
     case 1:
-      return RunResult{25804, 0, 0xda6a902bd3f03b67ull, 18297};
+      return RunResult{15292, 0, 0x2b338f729baab71full, 18309};
     case 2:
-      return RunResult{31677, 2293, 0x27b02b81cb384e5eull, 22843};
+      return RunResult{21157, 2289, 0x9c2f8ce34ff9ade5ull, 22820};
     case 4:
-      return RunResult{33785, 3356, 0xe0e1d2181bd329d8ull, 24631};
+      return RunResult{23605, 3358, 0x1e50c5a086300556ull, 24633};
     default:
       AURAGEN_PANIC("no pinned digest for this segment count");
   }
 }
 
-// The determinism oracle for the fabric on the ShardedEngine: each segment's
-// bus and switch is its own shard, and the digest must equal the pinned
-// one. A fabric that drifts is broken, not fast.
+// The determinism oracle for the fabric machine: the digest must equal the
+// pinned one. A fabric that drifts is broken, not fast.
 void BM_FabricMachineDigest(benchmark::State& state) {
   const uint32_t segments = static_cast<uint32_t>(state.range(0));
   const RunResult want = Pinned(segments);

@@ -1,6 +1,6 @@
-// E12 — full-machine throughput on the ShardPlan layout (DESIGN.md §17):
-// events/s of the complete Machine (kernels, servers, bus, disks) and
-// campaign seeds/s.
+// E12 — full-machine throughput on one event heap (DESIGN.md §16): events/s
+// of the complete Machine (kernels, servers, bus, disks) and campaign
+// seeds/s.
 //
 //   events_per_s   dispatched simulation events per wall-clock second
 //   seeds_per_s    completed campaign scenarios per wall-clock second
@@ -9,9 +9,9 @@
 //
 // Every row re-checks the determinism oracle and fails on divergence: a
 // machine that drifts from the pinned digest is broken, not fast. The
-// pinned digests were recorded before the in-machine worker pool was
-// removed (it made these rows slower, not faster, at 2 and 4 threads);
-// re-pinning one requires a stated reason in CHANGES.md.
+// pinned digests were re-pinned once when the windowed engine was retired
+// (one heap, no lookahead hops); re-pinning one requires a stated reason in
+// CHANGES.md.
 
 #include <benchmark/benchmark.h>
 
@@ -32,7 +32,7 @@ struct RunResult {
 
 // One serving-shaped machine run: boot, deploy the KV workload sized to the
 // topology, run to completion. The digest covers every traced event of the
-// run in merge order.
+// run in dispatch order.
 RunResult RunMachine(uint32_t clusters) {
   MachineOptions mo;
   mo.config.topology = Topology::SingleSegment(clusters);
@@ -60,9 +60,9 @@ RunResult RunMachine(uint32_t clusters) {
 RunResult PinnedMachine(uint32_t clusters) {
   switch (clusters) {
     case 8:
-      return RunResult{22424, 0x1dd03ab050b6bb86ull, 15756};
+      return RunResult{14511, 0x67cc829691f870d3ull, 15905};
     case 32:
-      return RunResult{121233, 0x18525fd6d73072baull, 91652};
+      return RunResult{60796, 0x4cb3ef2989dc768cull, 91581};
     default:
       AURAGEN_PANIC("no pinned digest for this cluster count");
   }
@@ -108,9 +108,9 @@ void BM_MachineCampaign(benchmark::State& state) {
   opt.check_determinism = false;  // the pinned digests are the replay
 
   const std::map<uint64_t, TraceDigest> want = {
-      {1, TraceDigest{0xbd7a9afdf44456b4ull, 5994, 597515}},
-      {2, TraceDigest{0x04c51843f98ab2c0ull, 7290, 572515}},
-      {3, TraceDigest{0x55cc17571f744e79ull, 5670, 547510}},
+      {1, TraceDigest{0xd1e6b9e2e36db671ull, 5989, 597506}},
+      {2, TraceDigest{0xa5a6cf2fb0d492ceull, 7290, 572511}},
+      {3, TraceDigest{0xca51a4a8de0c6b44ull, 5670, 547506}},
   };
   uint64_t seeds_done = 0;
   bool digest_ok = true;

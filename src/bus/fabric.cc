@@ -6,22 +6,10 @@
 
 namespace auragen {
 
-Fabric::Fabric(ShardedEngine& engine, const Topology& topology,
-               std::vector<uint32_t> segment_shards)
-    : engine_(engine),
-      topology_(topology),
-      num_clusters_(topology.num_clusters()),
-      segment_shards_(std::move(segment_shards)) {
+Fabric::Fabric(Engine& engine, const Topology& topology)
+    : engine_(engine), topology_(topology), num_clusters_(topology.num_clusters()) {
   if (std::string err = topology_.Validate(); !err.empty()) {
     AURAGEN_PANIC("invalid Topology: " + err);
-  }
-  AURAGEN_CHECK(segment_shards_.size() == topology_.num_segments())
-      << "one engine shard per segment bus";
-  if (topology_.num_segments() > 1) {
-    AURAGEN_CHECK(topology_.switch_latency_us >= engine.lookahead())
-        << "switch store-and-forward latency is a cross-shard hop; it must "
-        << "cover the engine lookahead (" << topology_.switch_latency_us
-        << " < " << engine.lookahead() << ")";
   }
   BuildSegments();
 }
@@ -33,7 +21,6 @@ void Fabric::BuildSegments() {
     segment_masks_.push_back(topology_.segment_mask(s));
     BusBinding binding;
     binding.segment = s;
-    binding.home_shard = segment_shards_[s];
     // Single segment: the default (empty = all-local) mask and the 1,2,3,...
     // frame-id sequence reproduce the pre-fabric bus bit for bit.
     if (bridged) {
@@ -60,9 +47,9 @@ void Fabric::AttachEndpoint(ClusterId cluster, BusEndpoint* endpoint) {
   for (auto& bus : buses_) {
     bus->Reconnect(cluster);
   }
-  // Every segment bus carries the full endpoint table (slots are owned by
-  // the cluster's own shard), but a cluster only ever receives from its own
-  // segment's bus — deliveries are gated by the local member mask.
+  // Every segment bus carries the full endpoint table, but a cluster only
+  // ever receives from its own segment's bus — deliveries are gated by the
+  // local member mask.
   buses_[segment_of(cluster)]->AttachEndpoint(cluster, endpoint);
 }
 
@@ -130,9 +117,9 @@ void Fabric::RestoreSwitch(SegmentId s) {
   AURAGEN_CHECK(s < switches_.size()) << "no switch on a single-segment fabric";
   switches_[s]->Restore();
   // Inbound copies that arrived at the trunk during the partition drain in
-  // trunk order. Control context (between windows), and the posts carry the
-  // full store-and-forward latency, so the drain lands ahead of (or tied
-  // with) any copy sequenced after the restore.
+  // trunk order. The posts carry the full store-and-forward latency and are
+  // scheduled now, so the drain lands ahead of any copy sequenced after the
+  // restore.
   auto& held = trunk_held_[s];
   while (!held.empty()) {
     auto [frame, urgent] = std::move(held.front());
@@ -150,17 +137,15 @@ const SwitchStats& Fabric::switch_stats(SegmentId s) const {
   return switches_[s]->stats();
 }
 
-void Fabric::PostToTrunk(SegmentId origin, Frame frame, bool urgent) {
-  engine_.ScheduleOn(kSharedShard, topology_.switch_latency_us,
-                     [this, origin, frame = std::move(frame), urgent] {
-                       TrunkAccept(origin, frame, urgent);
-                     });
+void Fabric::PostToTrunk(Frame frame, bool urgent) {
+  engine_.Schedule(topology_.switch_latency_us,
+                   [this, frame = std::move(frame), urgent] { TrunkAccept(frame, urgent); });
 }
 
-void Fabric::TrunkAccept(SegmentId origin, const Frame& frame, bool urgent) {
-  // One totally-ordered pass: the sequence number is assigned here, on the
-  // trunk's home shard, and every target segment receives its copy in this
-  // order (FIFO posts with equal latency; FIFO re-injection at the far end).
+void Fabric::TrunkAccept(const Frame& frame, bool urgent) {
+  // One totally-ordered pass: the sequence number is assigned here, and
+  // every target segment receives its copy in this order (FIFO posts with
+  // equal latency; FIFO re-injection at the far end).
   const uint64_t seq = ++next_trunk_seq_;
   for (SegmentId s = 0; s < buses_.size(); ++s) {
     ClusterMask local = frame.targets & segment_masks_[s];
@@ -182,14 +167,12 @@ void Fabric::TrunkAccept(SegmentId origin, const Frame& frame, bool urgent) {
     }
     PostToSegment(s, std::move(copy), urgent);
   }
-  (void)origin;
 }
 
 void Fabric::PostToSegment(SegmentId dest, Frame frame, bool urgent) {
-  engine_.ScheduleOn(segment_shards_[dest], topology_.switch_latency_us,
-                     [this, dest, frame = std::move(frame), urgent] {
-                       switches_[dest]->Inject(frame, urgent);
-                     });
+  engine_.Schedule(topology_.switch_latency_us, [this, dest, frame = std::move(frame), urgent] {
+    switches_[dest]->Inject(frame, urgent);
+  });
 }
 
 }  // namespace auragen

@@ -22,14 +22,8 @@
 // segment bus (same-segment traffic) or both ordered by the trunk, and
 // trunk order is preserved into every segment by FIFO, equal-latency posts.
 //
-// Determinism: the trunk lives on the shared shard (kSharedShard), where
-// barrier drain order makes its sequence numbers a pure function of the
-// per-shard schedules — the same mechanism that already made single-bus
-// frame ids deterministic.
-//
 // Single-segment topologies build exactly one bus, no switches and no
-// trunk, with the historical shard-0 binding and frame-id sequence: every
-// pre-fabric trace digest is reproduced bit for bit.
+// trunk, with the pre-fabric frame-id sequence.
 
 #ifndef AURAGEN_SRC_BUS_FABRIC_H_
 #define AURAGEN_SRC_BUS_FABRIC_H_
@@ -43,18 +37,13 @@
 #include "src/bus/intercluster_bus.h"
 #include "src/bus/switch_node.h"
 #include "src/bus/topology.h"
-#include "src/sim/sharded_engine.h"
+#include "src/sim/engine.h"
 
 namespace auragen {
 
 class Fabric {
  public:
-  // `segment_shards[s]` is the engine shard hosting segment s's bus and
-  // switch; the ShardPlan puts segment 0 on the shared shard (which also
-  // hosts the trunk) and later segments on their own shards after the
-  // cluster shards.
-  Fabric(ShardedEngine& engine, const Topology& topology,
-         std::vector<uint32_t> segment_shards);
+  Fabric(Engine& engine, const Topology& topology);
 
   Fabric(const Fabric&) = delete;
   Fabric& operator=(const Fabric&) = delete;
@@ -86,7 +75,7 @@ class Fabric {
   SegmentId segment_of(ClusterId c) const { return topology_.segment_of(c); }
   BusStats segment_stats(SegmentId s) const { return buses_[s]->stats(); }
 
-  // Switch faults (control-event-only during a run). Failing a segment's
+  // Switch faults. Failing a segment's
   // switch partitions it from the fabric: its outbound cross-segment frames
   // hold at the switch, its inbound copies hold at the trunk; both drain
   // FIFO on restore, so no frame is dropped or reordered. A single-segment
@@ -101,32 +90,28 @@ class Fabric {
   SimTime switch_latency_us() const { return topology_.switch_latency_us; }
 
   // --- SwitchNode backend (not for component use) ---
-  // Egress: schedules TrunkAccept on the trunk's home shard after the
-  // store-and-forward hop. Called from the origin segment's home shard (or
-  // a control event draining a restored switch).
-  void PostToTrunk(SegmentId origin, Frame frame, bool urgent);
+  // Egress: schedules TrunkAccept after the store-and-forward hop.
+  void PostToTrunk(Frame frame, bool urgent);
   InterclusterBus& bus_of_segment(SegmentId s) { return *buses_[s]; }
   Tracer* tracer() { return tracer_; }
 
  private:
   void BuildSegments();
-  // Trunk sequencer, runs on the trunk home shard: orders the frame and
-  // emits one masked copy per target segment.
-  void TrunkAccept(SegmentId origin, const Frame& frame, bool urgent);
-  // Schedules SwitchNode::Inject on the destination segment's shard after
-  // the store-and-forward hop.
+  // Trunk sequencer: orders the frame and emits one masked copy per target
+  // segment.
+  void TrunkAccept(const Frame& frame, bool urgent);
+  // Schedules SwitchNode::Inject on the destination segment after the
+  // store-and-forward hop.
   void PostToSegment(SegmentId dest, Frame frame, bool urgent);
 
-  ShardedEngine& engine_;
+  Engine& engine_;
   Topology topology_;
   uint32_t num_clusters_ = 0;
-  std::vector<uint32_t> segment_shards_;
   std::vector<ClusterMask> segment_masks_;
   std::vector<std::unique_ptr<InterclusterBus>> buses_;
   std::vector<std::unique_ptr<SwitchNode>> switches_;  // empty when 1 segment
 
-  // Trunk state: touched only on the trunk home shard (and by control
-  // events, which run between windows).
+  // Trunk state.
   uint64_t next_trunk_seq_ = 0;
   uint64_t trunk_forwards_ = 0;
   std::vector<std::deque<std::pair<Frame, bool>>> trunk_held_;  // per dest segment

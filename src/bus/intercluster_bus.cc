@@ -9,10 +9,6 @@ namespace auragen {
 
 namespace {
 
-// ShardPlan convention (src/machine/shard_plan.h): shard 0 is shared,
-// cluster c lives on shard 1 + c.
-ShardId ShardOfCluster(ClusterId c) { return 1 + c; }
-
 // A default (empty) binding mask means every cluster is a local member.
 ClusterMask ResolveLocal(const BusBinding& binding, uint32_t num_clusters) {
   return binding.local.any() ? binding.local : MaskOfRange(0, num_clusters);
@@ -20,10 +16,9 @@ ClusterMask ResolveLocal(const BusBinding& binding, uint32_t num_clusters) {
 
 }  // namespace
 
-InterclusterBus::InterclusterBus(ShardedEngine& engine, BusConfig config, uint32_t num_clusters,
+InterclusterBus::InterclusterBus(Engine& engine, BusConfig config, uint32_t num_clusters,
                                  BusBinding binding)
     : engine_(engine),
-      home_(engine.shard_core(binding.home_shard)),
       config_(config),
       binding_(binding),
       local_mask_(ResolveLocal(binding, num_clusters)),
@@ -31,12 +26,6 @@ InterclusterBus::InterclusterBus(ShardedEngine& engine, BusConfig config, uint32
       next_frame_id_(binding.frame_id_base) {
   AURAGEN_CHECK(num_clusters >= 2 && num_clusters <= kMaxClusters)
       << "the fabric carries 2..256 clusters, got" << num_clusters;
-  AURAGEN_CHECK(engine.num_shards() >= 1 + num_clusters)
-      << "ShardPlan layout needs a shard per cluster plus the shared shard";
-  AURAGEN_CHECK(config_.arbitration_us >= engine.lookahead())
-      << "bus arbitration is the minimum cross-shard latency; it must cover "
-      << "the engine lookahead (" << config_.arbitration_us << " < "
-      << engine.lookahead() << ")";
 }
 
 void InterclusterBus::AttachEndpoint(ClusterId cluster, BusEndpoint* endpoint) {
@@ -53,11 +42,6 @@ bool InterclusterBus::IsAttached(ClusterId cluster) const {
   return cluster < endpoints_.size() && endpoints_[cluster] != nullptr;
 }
 
-SimTime InterclusterBus::LocalNow() const {
-  ShardId s = engine_.CurrentShard();
-  return s == kNoShard ? engine_.Now() : engine_.ShardNow(s);
-}
-
 void InterclusterBus::Transmit(ClusterId src, ClusterMask targets, Bytes payload, bool urgent,
                                ClusterId fence) {
   AURAGEN_CHECK(src < endpoints_.size());
@@ -67,16 +51,7 @@ void InterclusterBus::Transmit(ClusterId src, ClusterMask targets, Bytes payload
   frame.targets = targets;
   frame.fence = fence;
   frame.payload = MakePayload(std::move(payload));
-  // §5.1 minimum propagation latency, sender to arbitration: the request
-  // reaches the bus (its home shard) arbitration_us after the sender issued
-  // it — which is what licenses the cross-shard post under the lookahead
-  // contract. Frame ids are assigned at accept on the home shard, where
-  // barrier drain order makes them a pure function of the per-shard
-  // schedules.
-  engine_.ScheduleOn(binding_.home_shard, config_.arbitration_us,
-                      [this, frame = std::move(frame), urgent]() mutable {
-                        AcceptFrame(std::move(frame), urgent);
-                      });
+  AcceptFrame(std::move(frame), urgent);
 }
 
 void InterclusterBus::ForwardAccept(Frame frame, bool urgent) {
@@ -96,7 +71,7 @@ void InterclusterBus::AcceptFrame(Frame frame, bool urgent) {
   }
   frame.frame_id = next_frame_id_;
   next_frame_id_ += binding_.frame_id_stride;
-  frame.sent_at = LocalNow();
+  frame.sent_at = engine_.Now();
   if (tracer_ != nullptr) {
     tracer_->Record(TraceEventKind::kBusTx, frame.src, 0, 0, frame.frame_id,
                     frame.WireSize());
@@ -142,7 +117,7 @@ void InterclusterBus::StartNext() {
   }
   const SimTime total = fl.cost + fl.wait;
   in_flight_ = std::move(fl);
-  in_flight_->completion = home_.Schedule(total, [this] { OnTransmitComplete(); });
+  in_flight_->completion = engine_.Schedule(total, [this] { OnTransmitComplete(); });
 }
 
 void InterclusterBus::OnTransmitComplete() {
@@ -185,7 +160,7 @@ void InterclusterBus::Deliver(const Frame& frame) {
       SimTime jitter = violation_rng_.Range(0, 3 * config_.arbitration_us + 5);
       // Each per-destination closure carries its own Frame copy, but the
       // payload is shared — allocations no longer scale with |targets|.
-      home_.Schedule(jitter, [this, frame, c] { DeliverTo(frame, c); });
+      engine_.Schedule(jitter, [this, frame, c] { DeliverTo(frame, c); });
     }
     return;
   }
@@ -204,23 +179,13 @@ void InterclusterBus::Deliver(const Frame& frame) {
 }
 
 void InterclusterBus::DeliverTo(const Frame& frame, ClusterId c) {
-  // §5.1 minimum propagation latency, line to receiving executive: the
-  // destination cluster observes the frame arbitration_us after line
-  // transmission completed. Posted unconditionally; whether the endpoint is
-  // attached is decided on the destination's own shard (endpoint state is
-  // owned by that cluster).
-  engine_.ScheduleOn(ShardOfCluster(c), config_.arbitration_us,
-                      [this, frame, c] { DeliverLocal(frame, c); });
-}
-
-void InterclusterBus::DeliverLocal(const Frame& frame, ClusterId c) {
   if (endpoints_[c] == nullptr) {
     return;
   }
   ++stats_.deliveries;
   if (tracer_ != nullptr) {
     tracer_->Record(TraceEventKind::kBusRx, c, 0, 0, frame.frame_id,
-                    LocalNow() - frame.sent_at);
+                    engine_.Now() - frame.sent_at);
   }
   endpoints_[c]->OnFrame(frame);
 }
@@ -233,7 +198,7 @@ void InterclusterBus::FailLine(int line) {
     // return the frame to the front of its lane (nothing was delivered, so
     // nothing is charged), and retry — on the surviving line if one is up,
     // else the frame waits for a restore.
-    home_.Cancel(in_flight_->completion);
+    engine_.Cancel(in_flight_->completion);
     InFlight fl = std::move(*in_flight_);
     in_flight_.reset();
     (fl.urgent ? urgent_pending_ : pending_).push_front(std::move(fl.frame));

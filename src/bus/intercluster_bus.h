@@ -28,7 +28,8 @@
 
 #include "src/base/rng.h"
 #include "src/bus/frame.h"
-#include "src/sim/sharded_engine.h"
+#include "src/sim/engine.h"
+#include "src/trace/trace.h"
 
 namespace auragen {
 
@@ -68,13 +69,10 @@ struct BusStats {
 };
 
 // How a bus instance sits inside a segmented fabric (src/bus/fabric.h). The
-// default binding is the pre-fabric machine: segment 0, arbitration on the
-// shared shard, every cluster a local member, frame ids 1, 2, 3, ...
+// default binding is the pre-fabric machine: segment 0, every cluster a
+// local member, frame ids 1, 2, 3, ...
 struct BusBinding {
   SegmentId segment = 0;
-  // Engine shard hosting this bus's arbitration and line state. Segment 0
-  // keeps the historical shard-0 home.
-  uint32_t home_shard = 0;
   // Local members: only these clusters are delivered to directly; targets
   // outside the mask leave through the segment's switch. A default (empty)
   // mask means "every cluster is local" (single-bus machine).
@@ -98,14 +96,7 @@ enum class AtomicityViolation : uint8_t {
 
 class InterclusterBus {
  public:
-  // ShardPlan layout: shard 0 = shared bus + disks, shard 1+c = cluster c,
-  // extra segments' buses on their own shards. Arbitration and line state
-  // live on the binding's home shard; Transmit posts the frame there and
-  // delivery posts per-destination closures to the receiving cluster's
-  // shard, each hop carrying the §5.1 minimum propagation latency
-  // (arbitration_us >= the engine's lookahead), which is exactly the
-  // conservative contract ShardedEngine checks.
-  InterclusterBus(ShardedEngine& engine, BusConfig config, uint32_t num_clusters,
+  InterclusterBus(Engine& engine, BusConfig config, uint32_t num_clusters,
                   BusBinding binding = BusBinding{});
 
   // Registers the receive callback for a cluster. Must be called for every
@@ -117,11 +108,11 @@ class InterclusterBus {
   void DetachEndpoint(ClusterId cluster);
   bool IsAttached(ClusterId cluster) const;
 
-  // Queues a frame for transmission: it reaches arbitration arbitration_us
-  // later. The bus serializes: at most one frame is on a line at a time;
-  // queued frames go out FIFO. Every target receives the frame
-  // arbitration_us after transmission completes, in target-cluster order
-  // within the same instant.
+  // Queues a frame for transmission; the bus accepts it at once. The bus
+  // serializes: at most one frame is on a line at a time; queued frames go
+  // out FIFO. Every target receives the frame when its transmission
+  // completes (FrameTime, which includes arbitration), in target-cluster
+  // order within that instant.
   //
   // `urgent` frames model the low-level bus interface protocol (heartbeats,
   // §7.10): they win arbitration over queued message frames, so liveness
@@ -148,7 +139,7 @@ class InterclusterBus {
   // Re-injection entry used by the segment's switch: the (already
   // segment-masked) copy re-enters arbitration as a fresh local frame, so
   // every delivery in this segment — local or forwarded — is totally ordered
-  // by this bus. Must run on the binding's home shard.
+  // by this bus.
   void ForwardAccept(Frame frame, bool urgent);
   SegmentId segment() const { return binding_.segment; }
 
@@ -195,11 +186,8 @@ class InterclusterBus {
   void OnTransmitComplete();
   void Deliver(const Frame& frame);
   void DeliverTo(const Frame& frame, ClusterId c);
-  void DeliverLocal(const Frame& frame, ClusterId c);
-  SimTime LocalNow() const;
 
-  ShardedEngine& engine_;
-  Engine& home_;  // the home shard's core
+  Engine& engine_;
   BusConfig config_;
   BusBinding binding_;
   ClusterMask local_mask_;             // resolved: binding.local or "all"

@@ -18,7 +18,7 @@ void SwitchNode::ForwardFromBus(const Frame& frame, bool urgent) {
   }
   ++stats_.forwarded;
   stats_.forwarded_bytes += frame.payload_size();
-  fabric_.PostToTrunk(segment_, frame, urgent);
+  fabric_.PostToTrunk(frame, urgent);
 }
 
 void SwitchNode::Inject(const Frame& frame, bool urgent) {
@@ -28,14 +28,14 @@ void SwitchNode::Inject(const Frame& frame, bool urgent) {
 
 void SwitchNode::Restore() {
   ok_ = true;
-  // Control context (between windows): the held frames re-enter the trunk
-  // FIFO, in the order the segment bus emitted them.
+  // The held frames re-enter the trunk FIFO, in the order the segment bus
+  // emitted them.
   while (!egress_held_.empty()) {
     Held h = std::move(egress_held_.front());
     egress_held_.pop_front();
     ++stats_.forwarded;
     stats_.forwarded_bytes += h.frame.payload_size();
-    fabric_.PostToTrunk(segment_, std::move(h.frame), h.urgent);
+    fabric_.PostToTrunk(std::move(h.frame), h.urgent);
   }
 }
 

@@ -11,8 +11,7 @@
 // A failed switch holds, never drops: egress frames queue FIFO at the
 // switch until a restore, preserving §5.1's all-or-none property in the
 // eventual sense (a partitioned segment's multicasts are late, not
-// partial). Fail/Restore fire only from machine control events (between
-// engine windows), so every shard sees the ok flag change at one instant.
+// partial).
 
 #ifndef AURAGEN_SRC_BUS_SWITCH_NODE_H_
 #define AURAGEN_SRC_BUS_SWITCH_NODE_H_
@@ -38,15 +37,15 @@ class SwitchNode {
   SwitchNode(Fabric& fabric, SegmentId segment)
       : fabric_(fabric), segment_(segment) {}
 
-  // Bus egress hook (runs on the segment's home shard).
+  // Bus egress hook.
   void ForwardFromBus(const Frame& frame, bool urgent);
 
-  // Trunk ingress (runs on the segment's home shard after the trunk's
-  // store-and-forward hop). `frame.targets` is already segment-masked.
+  // Trunk ingress, after the trunk's store-and-forward hop.
+  // `frame.targets` is already segment-masked.
   void Inject(const Frame& frame, bool urgent);
 
-  // Control-event-only fault hooks. Restore drains the held egress queue
-  // FIFO, so the partition reorders nothing.
+  // Fault hooks. Restore drains the held egress queue FIFO, so the
+  // partition reorders nothing.
   void Fail() { ok_ = false; }
   void Restore();
   bool ok() const { return ok_; }

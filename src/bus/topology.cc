@@ -60,19 +60,10 @@ std::string Topology::Validate() const {
       return "segment " + std::to_string(s) + " has " + std::to_string(n) +
              " clusters; a segment is a paper machine, 2..32 (§7.1)";
     }
-    if (segments[s].bus.arbitration_us < 1) {
-      return "segment " + std::to_string(s) +
-             ": BusConfig::arbitration_us must be >= 1 (it is the minimum "
-             "cross-shard propagation latency)";
-    }
   }
   if (num_clusters() > kMaxClusters) {
     return "topology exceeds kMaxClusters=" + std::to_string(kMaxClusters) +
            " clusters (got " + std::to_string(num_clusters()) + ")";
-  }
-  if (segments.size() > 1 && switch_latency_us < 1) {
-    return "switch_latency_us must be >= 1 with multiple segments (it bounds "
-           "the cross-segment lookahead)";
   }
   return "";
 }

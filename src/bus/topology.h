@@ -9,7 +9,7 @@
 // per-segment BusConfig, and the switch forwarding latency.
 //
 // SystemConfig::topology is the machine's only shape: the kernels, the
-// Fabric, the ShardPlan and the server placement all read their cluster
+// Fabric and the server placement all read their cluster
 // count and bus costs from it, and MachineOptions::Validate() runs
 // Validate() below before anything else. The paper's machine is
 // SingleSegment(n).
@@ -39,9 +39,7 @@ struct Topology {
 
   // Store-and-forward cost of one switch hop (segment bus -> trunk, or
   // trunk -> segment bus). A cross-segment frame pays two hops on top of
-  // its origin-bus transmission. Also the floor of the cross-segment
-  // lookahead (shard_plan.cc): a switch can never affect another shard
-  // sooner than this.
+  // its origin-bus transmission.
   SimTime switch_latency_us = 4;
 
   // --- factories ---
@@ -71,9 +69,8 @@ struct Topology {
   const BusConfig& bus_of(ClusterId c) const { return segments[segment_of(c)].bus; }
 
   // "" when valid; otherwise an actionable diagnostic. Valid means: at least
-  // one segment, every segment in the paper's 2..32 range, the total within
-  // kMaxClusters, and a usable (>= 1us) switch latency when more than one
-  // segment needs bridging.
+  // one segment, every segment in the paper's 2..32 range, and the total
+  // within kMaxClusters.
   std::string Validate() const;
 };
 

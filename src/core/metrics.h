@@ -93,8 +93,9 @@ struct Metrics {
 #undef AURAGEN_METRIC_FIELD
 
   // Folds another cluster's metrics into this one. The machine keeps one
-  // Metrics per cluster shard (so kernels never write a shared object
-  // across shards) and aggregates on read.
+  // Metrics per cluster and aggregates on read; merging them would move
+  // last_recovery_first_dispatch_at, which each kernel computes from its
+  // own stamps.
   void Accumulate(const Metrics& o) {
 #define AURAGEN_METRIC_SUM(type, name) name += o.name;
 #define AURAGEN_METRIC_MAX(type, name) name = std::max(name, o.name);

@@ -129,8 +129,17 @@ Bytes BlockDevice::PeekBlock(BlockNum block) const {
 }
 
 MirroredDisk::MirroredDisk(Engine& engine, DiskConfig config, ClusterId port_a, ClusterId port_b)
-    : drive0_(engine, config), drive1_(engine, config), port_a_(port_a), port_b_(port_b) {
+    : engine_(engine),
+      drive0_(engine, config),
+      drive1_(engine, config),
+      port_a_(port_a),
+      port_b_(port_b) {
   AURAGEN_CHECK(port_a != port_b) << "dual ports must reach distinct clusters";
+}
+
+template <typename Callback>
+void MirroredDisk::FailLater(Callback done) {
+  engine_.Schedule(0, [done = std::move(done)]() mutable { done(Errc::kIo); });
 }
 
 void MirroredDisk::Read(BlockNum block, BlockDevice::ReadCallback done) {
@@ -139,7 +148,7 @@ void MirroredDisk::Read(BlockNum block, BlockDevice::ReadCallback done) {
   } else if (!drive1_.failed()) {
     drive1_.Read(block, std::move(done));
   } else {
-    done(Errc::kIo);
+    FailLater(std::move(done));
   }
 }
 
@@ -174,7 +183,7 @@ void MirroredDisk::DuplexWrite(BlockDevice::Callback done, Submit submit) {
   arm(drive0_);
   arm(drive1_);
   if (join->pending == 0) {
-    join->done(Errc::kIo);  // both drives dead
+    FailLater(std::move(join->done));  // both drives dead
   }
 }
 

@@ -131,7 +131,9 @@ class BlockDevice {
 
 // A mirrored pair of drives presented as one logical device (§7.1). Writes
 // are duplexed; reads are served by the first healthy drive. The pair stays
-// available through any single drive failure.
+// available through any single drive failure. Every request completes from
+// an event, never inside the call: with both drives dead it fails with kIo
+// at the current instant, so a caller never sees its completion re-entrantly.
 class MirroredDisk {
  public:
   MirroredDisk(Engine& engine, DiskConfig config, ClusterId port_a, ClusterId port_b);
@@ -161,7 +163,10 @@ class MirroredDisk {
  private:
   template <typename Submit>
   void DuplexWrite(BlockDevice::Callback done, Submit submit);
+  template <typename Callback>
+  void FailLater(Callback done);
 
+  Engine& engine_;
   BlockDevice drive0_;
   BlockDevice drive1_;
   ClusterId port_a_;

@@ -345,9 +345,8 @@ void InjectFaultPlan(Machine& machine, const FaultPlan& plan,
                      const std::vector<Gpid>& victims,
                      const std::vector<ProcPlacement>& placements) {
   // Action times are relative to injection (Boot() has already advanced the
-  // simulated clock). Faults are machine-level interventions that reach into
-  // several shards (kernel state, bus line state), so they fire as control
-  // events: between windows, with every shard clock at the fault instant.
+  // simulated clock). Each action is an ordinary event on the machine's
+  // engine, FIFO with every other event at its instant.
   const SimTime base = machine.Now();
   for (size_t i = 0; i < plan.actions.size(); ++i) {
     const FaultAction action = plan.actions[i];
@@ -360,8 +359,8 @@ void InjectFaultPlan(Machine& machine, const FaultPlan& plan,
       victim_pid = victims[action.victim];
       victim_home = placements[action.victim].primary;
     }
-    machine.ScheduleControlAt(base + action.at, [&machine, action, index, victim_pid,
-                                                 victim_home] {
+    machine.engine().ScheduleAt(base + action.at, [&machine, action, index, victim_pid,
+                                                   victim_home] {
       auto record = [&](ClusterId cluster) {
         if (machine.tracer() != nullptr) {
           machine.tracer()->Record(TraceEventKind::kFaultInject, cluster, 0, 0,

@@ -123,7 +123,7 @@ struct FaultPlan {
 // Deterministic in (seed, inputs).
 FaultPlan MakeFaultPlan(uint64_t seed, const FaultPlanInputs& inputs);
 
-// Schedules every action of `plan` as machine control events. `victims` and
+// Schedules every action of `plan` as events on the machine. `victims` and
 // `placements` resolve kKillProcess actions (pid and the cluster it was
 // spawned on). Actions against already-dead (or, for restore, alive)
 // clusters are skipped at fire time. Records kFaultInject trace events when

@@ -149,9 +149,7 @@ std::string MachineOptions::Validate() const {
 ClusterEnv::ClusterEnv(Machine& machine, ClusterId cluster)
     : machine_(machine), cluster_(cluster) {}
 
-Engine& ClusterEnv::engine() {
-  return machine_.sharded_->shard_core(machine_.plan_.shard_of_cluster(cluster_));
-}
+Engine& ClusterEnv::engine() { return machine_.engine_; }
 
 Fabric& ClusterEnv::bus() { return *machine_.bus_; }
 
@@ -159,10 +157,8 @@ const SystemConfig& ClusterEnv::config() const { return machine_.options_.config
 
 void ClusterEnv::DiskRead(Gpid server, BlockNum block,
                           std::function<void(Result<Bytes>)> done) {
-  machine_.DiskOpFrom(
-      cluster_, server, {TraceEventKind::kDiskRead, 0, block, 0},
-      [block](MirroredDisk& disk, auto reply) { disk.Read(block, std::move(reply)); },
-      std::move(done));
+  machine_.ServerDisk(server, TraceEventKind::kDiskRead, 0, block, 0)
+      .Read(block, std::move(done));
 }
 
 void ClusterEnv::DiskWrite(Gpid server, BlockNum block, Bytes data,
@@ -170,12 +166,8 @@ void ClusterEnv::DiskWrite(Gpid server, BlockNum block, Bytes data,
   if (server == Machine::kFsPid) {
     metrics_.fileserver_disk_bytes += data.size();
   }
-  const Machine::DiskTrace trace{TraceEventKind::kDiskWrite, 0, block, data.size()};
-  machine_.DiskOpFrom(cluster_, server, trace,
-                      [block, data = std::move(data)](MirroredDisk& disk, auto reply) mutable {
-                        disk.Write(block, std::move(data), std::move(reply));
-                      },
-                      std::move(done));
+  machine_.ServerDisk(server, TraceEventKind::kDiskWrite, 0, block, data.size())
+      .Write(block, std::move(data), std::move(done));
 }
 
 void ClusterEnv::DiskWriteMulti(Gpid server, DiskWriteBatch batch,
@@ -189,18 +181,12 @@ void ClusterEnv::DiskWriteMulti(Gpid server, DiskWriteBatch batch,
   }
   // One trace event for the whole transaction; a = first home block,
   // channel = batch size.
-  const Machine::DiskTrace trace{TraceEventKind::kDiskWrite, batch.size(),
-                                 batch.empty() ? 0 : batch.front().first, bytes};
-  machine_.DiskOpFrom(cluster_, server, trace,
-                      [batch = std::move(batch)](MirroredDisk& disk, auto reply) mutable {
-                        disk.WriteMulti(std::move(batch), std::move(reply));
-                      },
-                      std::move(done));
+  machine_.ServerDisk(server, TraceEventKind::kDiskWrite, batch.size(),
+                      batch.empty() ? 0 : batch.front().first, bytes)
+      .WriteMulti(std::move(batch), std::move(done));
 }
 
-void ClusterEnv::TtyEmit(Gpid server, const Bytes& data) {
-  machine_.TtyEmitFrom(cluster_, server, data);
-}
+void ClusterEnv::TtyEmit(Gpid server, const Bytes& data) { machine_.TtyEmit(server, data); }
 
 ClusterId ClusterEnv::PlaceNewBackup(ClusterId avoid_a, ClusterId avoid_b) {
   return machine_.PlaceNewBackupFrom(cluster_, avoid_a, avoid_b);
@@ -222,42 +208,27 @@ void ClusterEnv::OnDebugPutc(Gpid pid, char c) { machine_.OnDebugPutc(pid, c); }
 
 // ---------------------------------------------------------------- Machine
 
-Machine::Machine(MachineOptions options)
-    : options_(std::move(options)),
-      plan_(MakeShardPlan(options_.config.topology, options_.disk)) {
+Machine::Machine(MachineOptions options) : options_(std::move(options)) {
   const SystemConfig& cfg = options_.config;
-  sharded_ = std::make_unique<ShardedEngine>(plan_.EngineOptions());
   if (options_.trace.enabled) {
     tracer_ = std::make_unique<Tracer>(options_.trace);
-    tracer_->set_clock([this] { return sharded_->Now(); });
-    // Every component records through Tracer::Record as before; the hook
-    // reroutes records into the engine's per-shard staging so the digest is
-    // folded in deterministic merge order at each window barrier.
-    tracer_->set_record_hook([this](TraceEventKind kind, ClusterId cluster, uint64_t gpid,
-                                    uint64_t channel, uint64_t a, uint64_t b) {
-      sharded_->Trace(kind, cluster, gpid, channel, a, b);
-    });
-    sharded_->set_tracer(tracer_.get());
+    tracer_->set_clock([this] { return engine_.Now(); });
+    engine_.set_tracer(tracer_.get());
     options_.file_server.tracer = tracer_.get();
     options_.page_server.tracer = tracer_.get();
   }
-  std::vector<uint32_t> segment_shards(plan_.num_segments);
-  for (SegmentId s = 0; s < segment_shards.size(); ++s) {
-    segment_shards[s] = plan_.shard_of_segment(s);
-  }
-  bus_ = std::make_unique<Fabric>(*sharded_, cfg.topology, std::move(segment_shards));
+  bus_ = std::make_unique<Fabric>(engine_, cfg.topology);
   bus_->set_tracer(tracer_.get());
   const ServerPlacement& place = options_.placement;
-  Engine& shared_core = sharded_->shard_core(kSharedShard);
-  fs_disk_ = std::make_unique<MirroredDisk>(shared_core, options_.disk,
-                                            place.file_disk.primary, place.file_disk.backup);
+  fs_disk_ = std::make_unique<MirroredDisk>(engine_, options_.disk, place.file_disk.primary,
+                                            place.file_disk.backup);
   const uint32_t shards = std::max<uint32_t>(1, cfg.page_shards);
   for (uint32_t s = 0; s < shards; ++s) {
     const ClusterPair ports = PageShardPlace(place.page_disk, s);
     page_disks_.push_back(
-        std::make_unique<MirroredDisk>(shared_core, options_.disk, ports.primary, ports.backup));
+        std::make_unique<MirroredDisk>(engine_, options_.disk, ports.primary, ports.backup));
   }
-  for (ClusterId c = 0; c < plan_.num_clusters; ++c) {
+  for (ClusterId c = 0; c < cfg.topology.num_clusters(); ++c) {
     envs_.push_back(std::make_unique<ClusterEnv>(*this, c));
     kernels_.push_back(std::make_unique<Kernel>(*envs_[c], c));
     kernels_.back()->set_tracer(tracer_.get());
@@ -417,19 +388,13 @@ Gpid Machine::SpawnUserProgram(ClusterId cluster, const Executable& exe,
   return pid;
 }
 
-void Machine::Run(SimTime duration) {
-  sharded_->Run(sharded_->Now() + duration);
-  // Align idle shard clocks with the global time so direct schedules from
-  // the outside (spawns, kernel pokes between runs) base correctly.
-  sharded_->SyncShardClocks();
-}
+void Machine::Run(SimTime duration) { engine_.Run(engine_.Now() + duration); }
 
 bool Machine::RunUntil(const std::function<bool()>& pred, SimTime max_duration) {
   if (pred()) {
     return true;
   }
-  sharded_->Run(sharded_->Now() + max_duration, pred);
-  sharded_->SyncShardClocks();
+  engine_.Run(engine_.Now() + max_duration, pred);
   return pred();
 }
 
@@ -452,7 +417,7 @@ void Machine::CrashCluster(ClusterId cluster) {
 }
 
 void Machine::CrashClusterAt(SimTime when, ClusterId cluster) {
-  sharded_->ScheduleControlAt(when, [this, cluster] { CrashCluster(cluster); });
+  engine_.ScheduleAt(when, [this, cluster] { CrashCluster(cluster); });
 }
 
 void Machine::FailBusLine(int line) { bus_->FailLine(line); }
@@ -466,9 +431,8 @@ void Machine::RestoreCluster(ClusterId cluster) {
   }
   // §7.3: halfbacks get new backups when the crashed cluster returns.
   // Every unprotected peripheral server whose disk (if any) reaches the
-  // restored cluster re-creates its active backup there. A control event:
-  // it reads the server directory and reaches into several kernels.
-  sharded_->ScheduleControl(1000, [this, cluster] {
+  // restored cluster re-creates its active backup there.
+  engine_.Schedule(1000, [this, cluster] {
     std::vector<Gpid> peripherals = {kFsPid, kTtyPid};
     for (uint32_t s = 0; s < page_addrs_.size(); ++s) {
       peripherals.push_back(PageShardPid(s));
@@ -503,7 +467,7 @@ void Machine::RestoreCluster(ClusterId cluster) {
 }
 
 void Machine::InjectTtyInput(uint32_t line, const std::string& text, SimTime at) {
-  sharded_->ScheduleControlAt(at, [this, line, text] {
+  engine_.ScheduleAt(at, [this, line, text] {
     auto it = server_locations_.find(kTtyPid.value);
     if (it == server_locations_.end() || !kernels_[it->second]->alive()) {
       return;  // terminal line dead with its cluster; user must retype
@@ -534,37 +498,22 @@ Metrics Machine::metrics() const {
   return agg;
 }
 
-SimTime Machine::LocalNow() const {
-  ShardId s = sharded_->CurrentShard();
-  return s == kNoShard ? sharded_->Now() : sharded_->ShardNow(s);
-}
-
 // ------------------------------------------------- ClusterEnv backends
 
-template <typename R, typename Op>
-void Machine::DiskOpFrom(ClusterId from, Gpid server, const DiskTrace& trace, Op op,
-                         std::function<void(R)> done) {
-  const SimTime hop = options_.config.topology.bus_of(from).arbitration_us;
-  const ShardId home = plan_.shard_of_cluster(from);
-  sharded_->ScheduleOn(
-      kSharedShard, hop,
-      [this, home, hop, server, trace, op = std::move(op), done = std::move(done)]() mutable {
-        auto it = server_disks_.find(server.value);
-        AURAGEN_CHECK(it != server_disks_.end()) << "no disk bound to " << GpidStr(server);
-        if (tracer_ != nullptr) {
-          tracer_->Record(trace.kind, kNoCluster, server.value, trace.channel, trace.a, trace.b);
-        }
-        op(*it->second, [this, home, hop, done = std::move(done)](R r) mutable {
-          sharded_->ScheduleOn(home, hop, [done = std::move(done), r = std::move(r)]() mutable {
-            done(std::move(r));
-          });
-        });
-      });
+MirroredDisk& Machine::ServerDisk(Gpid server, TraceEventKind kind, uint64_t channel, uint64_t a,
+                                  uint64_t b) {
+  auto it = server_disks_.find(server.value);
+  AURAGEN_CHECK(it != server_disks_.end()) << "no disk bound to " << GpidStr(server);
+  if (tracer_ != nullptr) {
+    tracer_->Record(kind, kNoCluster, server.value, channel, a, b);
+  }
+  return *it->second;
 }
 
-void Machine::TtyEmitFrom(ClusterId /*from*/, Gpid server, const Bytes& data) {
+void Machine::TtyEmit(Gpid server, const Bytes& data) {
   TtyEmitRecord emit = Decode<TtyEmitRecord>(data);
-  TtyRecord rec{emit.line, emit.seq, std::string(emit.text.begin(), emit.text.end()), LocalNow()};
+  TtyRecord rec{emit.line, emit.seq, std::string(emit.text.begin(), emit.text.end()),
+                engine_.Now()};
   if (tracer_ != nullptr) {
     tracer_->Record(TraceEventKind::kTtyEmit, kNoCluster, server.value, 0, rec.line,
                     rec.seq);

@@ -17,12 +17,11 @@
 #include "src/core/env.h"
 #include "src/core/kernel.h"
 #include "src/disk/disk.h"
-#include "src/machine/shard_plan.h"
 #include "src/paging/page_server.h"
 #include "src/servers/file_server.h"
 #include "src/servers/process_server.h"
 #include "src/servers/tty_server.h"
-#include "src/sim/sharded_engine.h"
+#include "src/sim/engine.h"
 #include "src/trace/trace.h"
 
 namespace auragen {
@@ -101,8 +100,9 @@ struct MachineOptions {
     return *this;
   }
   MachineOptions& WithPageShards(uint32_t n) { config.page_shards = n; return *this; }
-  // Deprecated: the machine runs its shards on one thread (DESIGN.md §17).
-  // Kept only for callers that still pass 1; any other value is an error.
+  // Shim for the repository benchmark (perfbench/), which still calls it;
+  // goes with the next benchmark change, like Machine::sharded_engine().
+  // A machine runs on one event heap, so only 1 is accepted.
   MachineOptions& WithEngineThreads(uint32_t n) {
     AURAGEN_CHECK(n == 1) << "in-machine engine threads were removed; got " << n;
     return *this;
@@ -121,8 +121,8 @@ struct TtyRecord {
 class Machine;
 
 // A cluster's private view of the machine (its MachineEnv). Each kernel gets
-// its own, carrying the cluster shard's Engine core and a cluster-local
-// Metrics object. Machine-level callbacks (exit records, tty transcripts,
+// its own, carrying the machine's Engine and a cluster-local Metrics
+// object. Machine-level callbacks (exit records, tty transcripts,
 // server directory updates) forward to the Machine's cross-cluster maps.
 class ClusterEnv : public MachineEnv {
  public:
@@ -178,17 +178,23 @@ class Machine {
   }
 
   // --- driving the simulation ---
-  // The machine runs on the windowed sharded engine (ShardPlan layout).
-  ShardedEngine& sharded_engine() { return *sharded_; }
-  const ShardPlan& shard_plan() const { return plan_; }
-  SimTime Now() const { return sharded_->Now(); }
-  uint64_t dispatched() const { return sharded_->dispatched(); }
-  void set_dispatch_limit(uint64_t limit) { sharded_->set_dispatch_limit(limit); }
-  bool dispatch_limit_hit() const { return sharded_->dispatch_limit_hit(); }
+  // One event heap drives the whole machine (DESIGN.md §16). Actions from
+  // outside the simulation (fault injection, console input) are ordinary
+  // events on it.
+  Engine& engine() { return engine_; }
+  // Shim for the repository benchmark, which still reads a shard count;
+  // goes with the next benchmark change, like WithEngineThreads. One heap
+  // is one shard.
+  struct OneHeap { uint32_t num_shards() const { return 1; } };
+  OneHeap sharded_engine() const { return {}; }
+  SimTime Now() const { return engine_.Now(); }
+  uint64_t dispatched() const { return engine_.dispatched(); }
+  void set_dispatch_limit(uint64_t limit) { engine_.set_dispatch_limit(limit); }
+  bool dispatch_limit_hit() const { return engine_.dispatch_limit_hit(); }
   void Run(SimTime duration);
   // Runs until `pred` holds or `max_duration` elapses; true if pred held.
-  // The predicate is evaluated at window barriers (the deterministic unit of
-  // progress), so a run may overshoot by up to the lookahead.
+  // The predicate is evaluated once per simulated instant, after its last
+  // event, so the run halts at the first instant where it holds.
   bool RunUntil(const std::function<bool()>& pred, SimTime max_duration);
   // Runs until every spawned user process has exited (or timeout).
   bool RunUntilAllExited(SimTime max_duration);
@@ -197,28 +203,17 @@ class Machine {
   // still be in flight.
   void Settle(SimTime duration = 500'000) { Run(duration); }
 
-  // Machine-level actions during a run (fault injection, console input)
-  // are control events: they fire between windows with every shard clock
-  // aligned, so they may touch any cluster. See
-  // ShardedEngine::ScheduleControlAt.
-  void ScheduleControlAt(SimTime when, Task fn) {
-    sharded_->ScheduleControlAt(when, std::move(fn));
-  }
-  void ScheduleControl(SimTime delay, Task fn) {
-    sharded_->ScheduleControl(delay, std::move(fn));
-  }
-
   // --- fault injection ---
   void CrashCluster(ClusterId cluster);
   void CrashClusterAt(SimTime when, ClusterId cluster);
   // Bus line faults (dual-line outage scenarios). Applied to every segment
-  // at once (Fabric::FailLine). Safe outside a run or from a control event.
+  // at once (Fabric::FailLine).
   void FailBusLine(int line);
   void RestoreBusLine(int line);
   // Switch faults (multi-segment topologies): failing segment `s`'s switch
   // isolates it from the rest of the fabric — cross-segment frames hold at
   // the switch and the trunk, FIFO, and drain on restore; nothing is
-  // dropped. Safe outside a run or from a control event.
+  // dropped.
   void FailSwitch(SegmentId segment) { bus_->FailSwitch(segment); }
   void RestoreSwitch(SegmentId segment) { bus_->RestoreSwitch(segment); }
   bool SwitchOk(SegmentId segment) const { return bus_->SwitchOk(segment); }
@@ -284,31 +279,17 @@ class Machine {
 
   void SpawnServers();
   bool AllUsersExited() const;
-  // Current simulated instant from wherever we are called: the executing
-  // shard's clock inside a callback, the global clock otherwise.
-  SimTime LocalNow() const;
 
-  // --- ClusterEnv backends (called from cluster shards during a run) ---
-  // The trace record of one disk operation (server pid filled in by
-  // DiskOpFrom).
-  struct DiskTrace {
-    TraceEventKind kind = TraceEventKind::kDiskRead;
-    uint64_t channel = 0;
-    uint64_t a = 0;
-    uint64_t b = 0;
-  };
-  // Disk traffic hops to the shared shard (where the disks live), records
-  // `trace`, runs `op(disk, reply)` on the server's disk, and posts the
-  // completion back to the caller's shard. Each hop carries the calling
-  // cluster's bus arbitration time: the §5.1 minimum latency, never below
-  // the engine's lookahead, so the cross-shard posts are legal.
-  template <typename R, typename Op>
-  void DiskOpFrom(ClusterId from, Gpid server, const DiskTrace& trace, Op op,
-                  std::function<void(R)> done);
-  void TtyEmitFrom(ClusterId from, Gpid server, const Bytes& data);
+  // --- ClusterEnv backends ---
+  // The disk bound to `server`, after recording the operation's trace
+  // event. The disks are dual-ported to their server's clusters (§7.1), so
+  // an operation reaches its disk directly, never over the bus.
+  MirroredDisk& ServerDisk(Gpid server, TraceEventKind kind, uint64_t channel, uint64_t a,
+                           uint64_t b);
+  void TtyEmit(Gpid server, const Bytes& data);
   // Fullback placement by the *calling kernel's* belief about peer liveness
-  // (heartbeats + crash notices): another cluster's ground truth belongs to
-  // its own shard — and the paper's kernels only ever saw the bus anyway.
+  // (heartbeats + crash notices): the paper's kernels only ever saw the
+  // bus.
   ClusterId PlaceNewBackupFrom(ClusterId from, ClusterId avoid_a, ClusterId avoid_b);
   std::unique_ptr<NativeProgram> MakeServerProgram(Gpid pid);
   void OnServerTakeover(Gpid pid, ClusterId new_cluster);
@@ -316,8 +297,7 @@ class Machine {
   void OnDebugPutc(Gpid pid, char c);
 
   MachineOptions options_;
-  ShardPlan plan_;
-  std::unique_ptr<ShardedEngine> sharded_;
+  Engine engine_{Engine::kNoLogClock};
   std::unique_ptr<Tracer> tracer_;
   std::unique_ptr<Fabric> bus_;
   std::unique_ptr<MirroredDisk> fs_disk_;

@@ -1,6 +1,7 @@
 #include "src/sim/engine.h"
 
 #include "src/base/log.h"
+#include "src/trace/trace.h"
 
 namespace auragen {
 
@@ -54,56 +55,62 @@ void Engine::Cancel(EventId id) {
   --live_events_;
 }
 
-bool Engine::Step(SimTime until) {
-  while (!queue_.empty()) {
-    if (queue_.top().when > until || dispatch_limit_hit()) {
-      return false;
-    }
-    Event ev = queue_.top();
+void Engine::set_tracer(Tracer* tracer) {
+  dispatch_tracer_ =
+      tracer != nullptr && tracer->WantsKind(TraceEventKind::kEngineDispatch) ? tracer : nullptr;
+}
+
+void Engine::DropCancelledTop() {
+  while (!queue_.empty() && slots_[queue_.top().slot].gen != queue_.top().gen) {
+    // Cancelled while pending; the slot is free for reuse now that its heap
+    // entry is gone.
+    free_slots_.push_back(queue_.top().slot);
     queue_.pop();
-    if (slots_[ev.slot].gen != ev.gen) {
-      // Cancelled while pending; the slot is free for reuse now that its
-      // heap entry is gone.
-      free_slots_.push_back(ev.slot);
-      continue;
-    }
-    --live_events_;
-    Task fn = std::move(slots_[ev.slot].task);
-    ++slots_[ev.slot].gen;
-    free_slots_.push_back(ev.slot);
-    now_ = ev.when;
-    ++dispatched_;
-    last_dispatched_ = MakeId(ev.slot, ev.gen);
-    fn();
-    return true;
   }
-  return false;
 }
 
-SimTime Engine::NextEventTime() const {
-  // Stale (cancelled) entries can only sit at the top transiently — they are
-  // popped by Step as they surface — but a caller may probe before any Step.
-  // The top entry's time is still a lower bound; for exactness, skip ahead
-  // only when the engine has no live work at all.
-  if (live_events_ == 0) {
-    return kSimForever;
+bool Engine::Step(SimTime until) {
+  DropCancelledTop();
+  if (queue_.empty() || queue_.top().when > until || dispatch_limit_hit()) {
+    return false;
   }
-  AURAGEN_CHECK(!queue_.empty());
-  return queue_.top().when;
+  Event ev = queue_.top();
+  queue_.pop();
+  --live_events_;
+  Task fn = std::move(slots_[ev.slot].task);
+  ++slots_[ev.slot].gen;
+  free_slots_.push_back(ev.slot);
+  now_ = ev.when;
+  ++dispatched_;
+  fn();
+  if (dispatch_tracer_ != nullptr) {
+    dispatch_tracer_->Record(TraceEventKind::kEngineDispatch, kNoCluster, 0, 0,
+                             MakeId(ev.slot, ev.gen), 0);
+  }
+  return true;
 }
 
-uint64_t Engine::Run(SimTime until) {
+uint64_t Engine::Run(SimTime until, const std::function<bool()>& stop_pred) {
   uint64_t n = 0;
   stop_requested_ = false;
+  bool pred_halt = false;
   while (!stop_requested_ && Step(until)) {
     ++n;
+    if (stop_pred) {
+      DropCancelledTop();
+      if ((queue_.empty() || queue_.top().when > now_) && stop_pred()) {
+        pred_halt = true;
+        break;
+      }
+    }
   }
   // Advance the clock to `until` when the horizon, not queue exhaustion,
   // ended the run — callers treat Run(t) as "simulate through t". A run cut
-  // short by Stop() or the dispatch-limit livelock guard did NOT simulate
-  // through the horizon, so its clock stays at the last earned instant
-  // (fault-campaign invariant checks compare against this clock).
-  if (until != kSimForever && now_ < until && !stop_requested_ && !dispatch_limit_hit()) {
+  // short by Stop(), the predicate or the dispatch-limit livelock guard did
+  // NOT simulate through the horizon, so its clock stays at the last earned
+  // instant (fault-campaign invariant checks compare against this clock).
+  if (until != kSimForever && now_ < until && !stop_requested_ && !pred_halt &&
+      !dispatch_limit_hit()) {
     now_ = until;
   }
   return n;

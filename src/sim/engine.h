@@ -6,14 +6,14 @@
 // invariant (DESIGN.md §4): crash/recovery equivalence tests compare
 // whole-machine traces between runs.
 //
-// The Machine runs one Engine per shard of a ShardedEngine
-// (sharded_engine.h): one per cluster plus the shared shard, driven
-// window-by-window under conservative synchronization.
+// A Machine runs on one Engine: every cluster, bus, switch, disk and fault
+// injection schedules into the same heap (DESIGN.md §16).
 
 #ifndef AURAGEN_SRC_SIM_ENGINE_H_
 #define AURAGEN_SRC_SIM_ENGINE_H_
 
 #include <cstdint>
+#include <functional>
 #include <queue>
 #include <vector>
 
@@ -22,6 +22,8 @@
 #include "src/base/types.h"
 
 namespace auragen {
+
+class Tracer;
 
 // Handle for cancelling a scheduled event. Encodes (slot, generation): the
 // slot names the slab entry holding the callable, the generation says which
@@ -35,8 +37,9 @@ inline constexpr EventId kNoEvent = 0;
 
 class Engine {
  public:
-  // Tag for embedded use (one Engine per shard): skips installing this
-  // engine's clock as the process-wide Logger time source.
+  // Tag for embedded use (a Machine's engine; campaigns run several
+  // machines at once): skips installing this engine's clock as the
+  // process-wide Logger time source.
   struct NoLogClockTag {};
   static constexpr NoLogClockTag kNoLogClock{};
 
@@ -64,10 +67,13 @@ class Engine {
   void Cancel(EventId id);
 
   // Runs until the event queue empties or `until` is reached, whichever is
-  // first. Returns the number of events dispatched. The clock advances to
-  // `until` only when the run legitimately simulated through it — not when
-  // Stop() or the dispatch limit cut the run short.
-  uint64_t Run(SimTime until = kSimForever);
+  // first. Returns the number of events dispatched. `stop_pred`, when set,
+  // is called once per simulated instant, after that instant's last event
+  // (the next live event lies later, or past `until`); true halts the run
+  // there. The clock advances to `until` only when the run legitimately
+  // simulated through it — not when Stop(), the dispatch limit or the
+  // predicate cut the run short.
+  uint64_t Run(SimTime until = kSimForever, const std::function<bool()>& stop_pred = {});
 
   // Runs exactly one event if any is pending before `until`. Returns false
   // when nothing was dispatched.
@@ -77,44 +83,22 @@ class Engine {
   uint64_t dispatched() const { return dispatched_; }
   uint64_t live_events() const { return live_events_; }
 
-  // Absolute time of the earliest live pending event, or kSimForever when
-  // none. Used by ShardedEngine to pick the next window.
-  SimTime NextEventTime() const;
-
-  // Time of the heap's top entry, cancelled or not; kSimForever when the
-  // heap is empty. Step(until) pops something exactly when this is <= until
-  // and the dispatch limit is not yet hit.
-  SimTime HeapTopTime() const { return queue_.empty() ? kSimForever : queue_.top().when; }
-
-  // Advances the clock to `t` without dispatching anything. Only legal when
-  // no pending event would be skipped. ShardedEngine uses this to align
-  // every shard clock at control points between windows, so that schedules
-  // issued outside callbacks base on the global simulated-through time.
-  void AdvanceTo(SimTime t) {
-    if (now_ < t) {
-      AURAGEN_CHECK(NextEventTime() >= t)
-          << "AdvanceTo(" << t << ") would skip a pending event at " << NextEventTime();
-      now_ = t;
-    }
-  }
-
-  // Id of the most recently dispatched event (valid after Step() returned
-  // true). Lets an embedding driver trace dispatches without a callback in
-  // the hot loop.
-  EventId last_dispatched() const { return last_dispatched_; }
+  // Records one kEngineDispatch trace event per dispatched event (a = its
+  // id) when `tracer` wants that kind. Write-only, like all tracing.
+  void set_tracer(Tracer* tracer);
 
   // Livelock guard for fault campaigns: with a nonzero limit, Run()/Step()
-  // refuse to dispatch past `limit` total events — a run stuck re-scheduling
-  // at the same instant (so time never reaches the horizon) terminates with
+  // refuse to dispatch past `limit` total events, so a run halts after
+  // exactly `limit` of them — a run stuck re-scheduling at the same instant
+  // (so time never reaches the horizon) terminates with
   // dispatch_limit_hit() set instead of spinning forever. 0 disables.
   void set_dispatch_limit(uint64_t limit) { dispatch_limit_ = limit; }
-  uint64_t dispatch_limit() const { return dispatch_limit_; }
   bool dispatch_limit_hit() const {
     return dispatch_limit_ != 0 && dispatched_ >= dispatch_limit_;
   }
 
-  // Requests that Run() return after the current callback. The queue is
-  // left intact; Run() can be called again.
+  // Requests that Run() return after the current event. The queue is left
+  // intact; Run() can be called again.
   void Stop() { stop_requested_ = true; }
 
   // Test-only visibility into the cancel bookkeeping: heap entries whose
@@ -152,14 +136,18 @@ class Engine {
     return (static_cast<EventId>(slot) + 1) << 32 | gen;
   }
 
+  // Pops cancelled leftovers off the heap top, freeing their slots, so the
+  // top (if any) is the next live event.
+  void DropCancelledTop();
+
   SimTime now_ = 0;
   uint64_t next_seq_ = 1;
   uint64_t dispatched_ = 0;
   uint64_t dispatch_limit_ = 0;
   uint64_t live_events_ = 0;
-  EventId last_dispatched_ = kNoEvent;
   bool stop_requested_ = false;
   bool owns_log_clock_ = false;
+  Tracer* dispatch_tracer_ = nullptr;  // set only when it wants the kind
   std::priority_queue<Event, std::vector<Event>, Later> queue_;
   std::vector<Slot> slots_;  // slab of pending callables + generations
   std::vector<uint32_t> free_slots_;

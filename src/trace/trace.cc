@@ -141,19 +141,9 @@ Tracer::Tracer(TraceOptions options) : options_(options) {
 void Tracer::Record(TraceEventKind kind, ClusterId cluster, uint64_t gpid,
                     uint64_t channel, uint64_t a, uint64_t b) {
   if (!WantsKind(kind)) return;  // skip the clock call for masked kinds
-  if (record_hook_) {
-    record_hook_(kind, cluster, gpid, channel, a, b);
-    return;
-  }
-  RecordAt(clock_(), kind, cluster, gpid, channel, a, b);
-}
-
-void Tracer::RecordAt(SimTime ts, TraceEventKind kind, ClusterId cluster, uint64_t gpid,
-                      uint64_t channel, uint64_t a, uint64_t b) {
-  if (!WantsKind(kind)) return;
   TraceEvent e;
   e.seq = digest_.count;
-  e.ts = ts;
+  e.ts = clock_();
   e.kind = kind;
   e.cluster = cluster;
   e.gpid = gpid;

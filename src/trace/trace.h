@@ -178,29 +178,12 @@ class Tracer {
   // Timestamp source; the machine points this at its engine's clock.
   void set_clock(std::function<SimTime()> clock) { clock_ = std::move(clock); }
 
-  // Routing hook for sharded runs: when set, Record() hands the event to
-  // the hook instead of folding it directly — the machine points this at
-  // ShardedEngine::Trace, which stages records per shard and replays them
-  // through RecordAt() at each window barrier in deterministic merge order.
-  // RecordAt() itself is never intercepted (it is the merge sink).
-  using RecordHook = std::function<void(TraceEventKind, ClusterId, uint64_t, uint64_t,
-                                        uint64_t, uint64_t)>;
-  void set_record_hook(RecordHook hook) { record_hook_ = std::move(hook); }
-
   bool WantsKind(TraceEventKind k) const { return (options_.kind_mask & TraceKindBit(k)) != 0; }
 
   // The single hot path. Callers guard with `if (tracer_ != nullptr)`, so the
   // tracing-off configuration costs one pointer test per hook point.
   void Record(TraceEventKind kind, ClusterId cluster, uint64_t gpid, uint64_t channel,
               uint64_t a, uint64_t b);
-
-  // Record with an explicit timestamp instead of the clock callback. This is
-  // the sink of ShardedEngine's deterministic multi-stream merge: per-shard
-  // streams carry their own shard-local timestamps, and the merge replays
-  // them here in (ts, shard, shard-order) order so the folded digest is a
-  // pure function of the per-shard streams.
-  void RecordAt(SimTime ts, TraceEventKind kind, ClusterId cluster, uint64_t gpid,
-                uint64_t channel, uint64_t a, uint64_t b);
 
   // Events currently held, oldest first (the full run when unbounded; the
   // tail of the run in ring mode).
@@ -216,7 +199,6 @@ class Tracer {
  private:
   TraceOptions options_;
   std::function<SimTime()> clock_;
-  RecordHook record_hook_;
   std::vector<TraceEvent> events_;  // ring mode: circular, head_ = oldest
   size_t head_ = 0;
   TraceDigest digest_;

@@ -1,8 +1,8 @@
 // Unit tests for the intercluster bus: the §5.1 atomicity guarantees, the
 // serialization property, dual-line failover, and the deliberate-violation
-// hooks used by the negative recovery tests. The bus runs on the machine's
-// ShardPlan layout, so every delivery time includes the two propagation
-// hops (sender -> arbitration, line -> receiver).
+// hooks used by the negative recovery tests. The bus runs on one Engine, as
+// in the machine: a frame is accepted when sent, and every target receives
+// it when its transmission completes.
 
 #include <gtest/gtest.h>
 
@@ -10,26 +10,25 @@
 
 #include "src/bus/intercluster_bus.h"
 #include "src/bus/topology.h"
-#include "src/sim/sharded_engine.h"
+#include "src/sim/engine.h"
 
 namespace auragen {
 namespace {
 
 struct Recorder : BusEndpoint {
   std::vector<Frame> frames;
-  ShardedEngine* engine = nullptr;
+  Engine* engine = nullptr;
   std::vector<SimTime> times;
   void OnFrame(const Frame& frame) override {
     frames.push_back(frame);
     if (engine != nullptr) {
-      times.push_back(engine->ShardNow(engine->CurrentShard()));
+      times.push_back(engine->Now());
     }
   }
 };
 
-// Four clusters: arbitration on shard 0, cluster c on shard 1+c.
 struct BusFixture {
-  ShardedEngine engine{ShardedEngineOptions{5, 2}};
+  Engine engine{Engine::kNoLogClock};
   BusConfig config;
   InterclusterBus bus{engine, config, 4};
   Recorder endpoints[4];
@@ -178,18 +177,20 @@ TEST(Bus, InFlightFrameAbortedByLineFailureRetriesOnSurvivor) {
   // go back to the head of its lane and retry on the surviving line, with
   // only the successful attempt charged to the stats.
   BusFixture f;
+  // The frame starts on line 0 at t=0, when it is sent.
   f.bus.Transmit(0, MaskOf(1), Bytes(16, 0));
-  const SimTime hop = f.config.arbitration_us;
   const SimTime frame_time = f.config.FrameTime(16 + Frame::kHeaderBytes);
-  // Halfway through the line time, on the bus's own shard.
-  f.engine.ScheduleOn(kSharedShard, hop + frame_time / 2, [&] { f.bus.FailLine(0); });
+  // Halfway through the line time.
+  f.engine.Schedule(frame_time / 2, [&] { f.bus.FailLine(0); });
   f.engine.Run();
   ASSERT_EQ(f.endpoints[1].frames.size(), 1u);
   EXPECT_EQ(f.bus.stats().frames_sent, 1u);
   EXPECT_EQ(f.bus.stats().failovers, 1u);
   EXPECT_EQ(f.bus.stats().busy_us, frame_time);  // aborted attempt not charged
+  // The retry starts at the abort, waits out the dead-line timeout, then
+  // takes the whole line time again.
   EXPECT_EQ(f.endpoints[1].times[0],
-            hop + frame_time / 2 + f.config.line_failover_timeout_us + frame_time + hop);
+            frame_time / 2 + f.config.line_failover_timeout_us + frame_time);
 }
 
 TEST(Bus, DualLineDeathMidTransmitKeepsAccountingConsistent) {
@@ -200,8 +201,8 @@ TEST(Bus, DualLineDeathMidTransmitKeepsAccountingConsistent) {
   BusFixture f;
   f.bus.Transmit(0, MaskOf(1), Bytes(16, 0));
   const SimTime frame_time = f.config.FrameTime(16 + Frame::kHeaderBytes);
-  // One microsecond into the line time, on the bus's own shard.
-  f.engine.ScheduleOn(kSharedShard, f.config.arbitration_us + 1, [&] {
+  // One microsecond into the line time.
+  f.engine.Schedule(1, [&] {
     f.bus.FailLine(0);
     f.bus.FailLine(1);
   });
@@ -218,17 +219,19 @@ TEST(Bus, DualLineDeathMidTransmitKeepsAccountingConsistent) {
   EXPECT_EQ(f.bus.stats().failovers, 0u);  // line 0 came back; no failover path
 }
 
-TEST(Bus, DeliveryCarriesBothPropagationHops) {
-  // Both hops (sender->bus, line->receiver) carry arbitration_us, which is
-  // what licenses the cross-shard posts under the lookahead contract.
+TEST(Bus, EveryTargetReceivesTheFrameAtTransmitCompletion) {
+  // No hop before arbitration or after the line: a frame sent at t=0 is
+  // received by every target at FrameTime, which already charges the
+  // arbitration, and at nothing later.
   BusFixture f;
   f.bus.Transmit(0, MaskOf(1) | MaskOf(3), Bytes{42});
   f.engine.Run();
   ASSERT_EQ(f.endpoints[1].frames.size(), 1u);
   ASSERT_EQ(f.endpoints[3].frames.size(), 1u);
   EXPECT_EQ(*f.endpoints[1].frames[0].payload, Bytes{42});
-  EXPECT_EQ(f.endpoints[1].times[0],
-            2 * f.config.arbitration_us + f.config.FrameTime(1 + Frame::kHeaderBytes));
+  const SimTime frame_time = f.config.FrameTime(1 + Frame::kHeaderBytes);
+  EXPECT_EQ(f.endpoints[1].times[0], frame_time);
+  EXPECT_EQ(f.endpoints[3].times[0], frame_time);
   EXPECT_EQ(f.bus.stats().frames_sent, 1u);
   EXPECT_EQ(f.bus.stats().deliveries, 2u);
 }
@@ -319,7 +322,7 @@ TEST(Bus, FailoverWaitAccountedSeparatelyFromBusyTime) {
 }
 
 TEST(Bus, RejectsBadClusterCounts) {
-  ShardedEngine engine(ShardedEngineOptions{34, 2});
+  Engine engine(Engine::kNoLogClock);
   // The raw bus now carries up to kMaxClusters (a fabric segment bus is the
   // one that holds the paper's 2..32 bound — Topology::Validate enforces it).
   EXPECT_DEATH(InterclusterBus(engine, BusConfig{}, 1), "2..256");

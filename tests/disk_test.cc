@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/disk/disk.h"
 #include "src/sim/engine.h"
 
@@ -110,6 +112,24 @@ TEST(MirroredDisk, DoubleFailureReportsIo) {
   disk.Write(0, Bytes{1}, [&](Result<void> r) { err = r.error(); });
   engine.Run();
   EXPECT_EQ(err, Errc::kIo);
+}
+
+TEST(MirroredDisk, DoubleFailureAnswersFromAnEventNotInsideTheCall) {
+  // A caller's completion must never run inside its own request: the kernel
+  // would otherwise re-enter a syscall from within it. With both drives
+  // dead, every kind of request fails with kIo from a later event.
+  Engine engine;
+  MirroredDisk disk(engine, DiskConfig{}, 0, 1);
+  disk.drive(0).Fail();
+  disk.drive(1).Fail();
+  std::vector<Errc> errs;
+  disk.Read(0, [&](Result<Bytes> r) { errs.push_back(r.error()); });
+  disk.Write(0, Bytes{1}, [&](Result<void> r) { errs.push_back(r.error()); });
+  disk.WriteMulti({{1, Bytes{2}}}, [&](Result<void> r) { errs.push_back(r.error()); });
+  EXPECT_TRUE(errs.empty());
+  EXPECT_EQ(engine.Run(), 3u);
+  EXPECT_EQ(errs, (std::vector<Errc>{Errc::kIo, Errc::kIo, Errc::kIo}));
+  EXPECT_EQ(engine.Now(), 0u);  // at the instant of the request
 }
 
 TEST(MirroredDisk, DualPortedAttachment) {

@@ -13,7 +13,7 @@
 #include "src/bus/topology.h"
 #include "src/fault/campaign.h"
 #include "src/machine/machine.h"
-#include "src/sim/sharded_engine.h"
+#include "src/sim/engine.h"
 
 namespace auragen {
 namespace {
@@ -23,13 +23,11 @@ struct Recorder : BusEndpoint {
   void OnFrame(const Frame& frame) override { frames.push_back(frame); }
 };
 
-// Two segments of two clusters each: 0,1 | 2,3, on the machine's ShardPlan
-// layout: shard 0 hosts segment 0's bus and the trunk, shards 1-4 the
-// clusters, shard 5 segment 1's bus.
+// Two segments of two clusters each: 0,1 | 2,3.
 struct FabricFixture {
-  ShardedEngine engine{ShardedEngineOptions{6, 2}};
+  Engine engine{Engine::kNoLogClock};
   Topology topo = Topology::Uniform(2, 2);
-  Fabric fabric{engine, topo, {kSharedShard, 5}};
+  Fabric fabric{engine, topo};
   Recorder endpoints[4];
 
   FabricFixture() {
@@ -109,9 +107,9 @@ TEST(Fabric, CrossSegmentOrderConsistentAtCommonDestinations) {
 TEST(Fabric, OrderSurvivesSeededLineAndSwitchFailures) {
   FabricFixture f;
   Rng rng(7);
-  // One frame every 3us. Line and switch faults land between frames as
-  // control events (the way a running machine injects them), so frames are
-  // on the lines and at the switches when the faults hit.
+  // One frame every 3us. Line and switch faults land with the frames as
+  // scheduled events (the way a running machine injects them), so frames
+  // are on the lines and at the switches when the faults hit.
   uint64_t expected = 0;
   for (uint8_t i = 0; i < 40; ++i) {
     const ClusterId src = static_cast<ClusterId>(rng.Below(4));
@@ -125,7 +123,7 @@ TEST(Fabric, OrderSurvivesSeededLineAndSwitchFailures) {
       targets = MaskOf((src + 1) % 4);
     }
     expected += targets.count();
-    f.engine.ScheduleControlAt(3 * i, [&f, i, src, targets] {
+    f.engine.ScheduleAt(3 * i, [&f, i, src, targets] {
       f.fabric.Transmit(src, targets, Bytes{i});
       switch (i) {
         case 10:
@@ -238,8 +236,8 @@ TEST(Fabric, PlacementRejectsBackupInOtherSegment) {
 
 // The campaign exercises boot, servers, user workloads and faults on the
 // given fabric. Its faulted-run digest must equal the one pinned here,
-// recorded before the in-machine worker pool was removed; re-pinning one
-// requires a stated reason in CHANGES.md.
+// re-pinned once when the windowed engine was retired (no lookahead hops);
+// re-pinning one requires a stated reason in CHANGES.md.
 TEST(Fabric, CampaignDigestsMatchPinned) {
   const struct {
     uint32_t clusters;
@@ -248,8 +246,8 @@ TEST(Fabric, CampaignDigestsMatchPinned) {
     uint64_t count;
     SimTime last_ts;
   } pinned[] = {
-      {4, 2, 0x02c39fc7732fd0f8ull, 4724, 540023},
-      {8, 4, 0xdc750107f0da5889ull, 15505, 540028},
+      {4, 2, 0x23caa8347ebfef82ull, 4724, 540019},
+      {8, 4, 0x44f6bed68cda517bull, 15505, 540024},
   };
   const uint64_t seed = 11;
   for (const auto& p : pinned) {
@@ -348,7 +346,6 @@ TEST(Fabric, FourSegment64ClusterMachineBootsAndServes) {
   Machine machine(options);
   machine.Boot();
   EXPECT_EQ(machine.bus().num_segments(), 4u);
-  EXPECT_EQ(machine.shard_plan().num_shards, 1u + 64u + 3u);
 
   // A cross-segment ping/pong pair per segment boundary: the channel
   // fabrication, data frames, and exit records all ride the trunk.

@@ -362,9 +362,9 @@ TEST(FileServerJournal, WriteThenRebootMatchesOriginal) {
 // ---------------------------------------------------------- pinned digests
 
 // Faulted-run digests of the churner workload under seeded fault plans,
-// recorded before the in-machine worker pool was removed. Every build must
-// reproduce them bit for bit; re-pinning one requires a stated reason in
-// CHANGES.md.
+// re-pinned once when the windowed engine was retired (disk operations no
+// longer hop over the bus). Every build must reproduce them bit for bit;
+// re-pinning one requires a stated reason in CHANGES.md.
 struct PinnedChurn {
   uint64_t seed;
   uint64_t hash;
@@ -372,8 +372,8 @@ struct PinnedChurn {
   SimTime last_ts;
 };
 constexpr PinnedChurn kPinnedChurns[] = {
-    {3, 0x842b7d004c46a275ull, 3710, 588760},
-    {11, 0x5b2dc92f74067fafull, 2870, 578760},
+    {3, 0x2668d791afb81e84ull, 3748, 593756},
+    {11, 0xa800011be95d9edbull, 2898, 583756},
 };
 
 TEST(FileServerJournal, ChurnDigestsMatchPinned) {

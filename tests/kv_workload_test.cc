@@ -60,14 +60,16 @@ TEST(KvWorkload, ReadYourOwnWrites) {
   EXPECT_GT(r.goodput_rps, 0.0);
 }
 
-// Fault-free, kvload's default machine: session 67's first request reaches
-// the server's clusters 7 us before the open reply that creates the
-// routing entries for its channel. Dropping the early arrival stalled the
-// session with one verification mismatch; parked, it reaches the entry.
+// Fault-free, kvload's default machine: at seed 59 two channel messages
+// reach their server's clusters before the open reply that creates the
+// routing entries for their channel. Dropping an early arrival stalls its
+// session with a verification mismatch; parked, it reaches the entry.
+// Which seeds race this way depends on the exact timeline: re-choose the
+// seed whenever the timeline is re-pinned.
 TEST(KvWorkload, EarlyArrivalBeforeOpenReplyIsDelivered) {
   KvOptions kv;
   kv.sessions = 200;
-  kv.seed = 17;
+  kv.seed = 59;
   MachineOptions mo;
   mo.config.topology = Topology::SingleSegment(8);
   mo.seed = kv.seed;

@@ -295,7 +295,7 @@ TEST(MultiFailure, SaveLegArrivingAfterTakeoverFlipIsDelivered) {
   PairHandles pair = SpawnPair(machine, 0, 2, 1, 3, kItems, 5000,
                                BackupMode::kQuarterback);
   Gpid victim = pair.consumer;
-  machine.ScheduleControlAt(read_at + 200, [&machine, victim] {
+  machine.engine().ScheduleAt(read_at + 200, [&machine, victim] {
     machine.FailProcess(1, victim);
   });
   ASSERT_TRUE(machine.RunUntilAllExited(600'000'000));
@@ -351,11 +351,11 @@ TEST(MultiFailure, FalselyAccusedClusterIsCutOffAtTheNotice) {
   machine.Boot();
   FrameLog logs[2] = {FrameLog(machine, 0), FrameLog(machine, 1)};
   const SimTime dark = machine.Now() + 5'000;
-  machine.ScheduleControlAt(dark, [&machine] {
+  machine.engine().ScheduleAt(dark, [&machine] {
     machine.FailBusLine(0);
     machine.FailBusLine(1);
   });
-  machine.ScheduleControlAt(dark + 20'000, [&machine] {
+  machine.engine().ScheduleAt(dark + 20'000, [&machine] {
     machine.RestoreBusLine(0);
     machine.RestoreBusLine(1);
   });
