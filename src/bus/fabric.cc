@@ -1,5 +1,6 @@
 #include "src/bus/fabric.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "src/base/log.h"
@@ -97,6 +98,8 @@ BusStats Fabric::stats() const {
     agg.failovers += s.failovers;
     agg.busy_us += s.busy_us;
     agg.failover_wait_us += s.failover_wait_us;
+    agg.max_frame_us = std::max(agg.max_frame_us, s.max_frame_us);
+    agg.max_frame_bytes = std::max(agg.max_frame_bytes, s.max_frame_bytes);
   }
   return agg;
 }

@@ -66,7 +66,8 @@ class Fabric {
   // multi-segment negative tests).
   void InjectAtomicityViolation(AtomicityViolation mode, double probability, uint64_t seed);
 
-  // Aggregated over every segment bus.
+  // Aggregated over every segment bus: counters add, the longest frame is
+  // the maximum.
   BusStats stats() const;
   void set_tracer(Tracer* tracer);
 

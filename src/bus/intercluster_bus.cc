@@ -1,5 +1,6 @@
 #include "src/bus/intercluster_bus.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "src/base/log.h"
@@ -133,6 +134,8 @@ void InterclusterBus::OnTransmitComplete() {
   }
   ++stats_.frames_sent;
   stats_.bytes_sent += fl.frame.payload_size();
+  stats_.max_frame_us = std::max(stats_.max_frame_us, fl.cost);
+  stats_.max_frame_bytes = std::max<uint64_t>(stats_.max_frame_bytes, fl.frame.WireSize());
   if (ForTrunk(fl.frame)) {
     // Multi-segment multicast: no destination — not even a local member —
     // is delivered from this transmission. The whole frame goes to the

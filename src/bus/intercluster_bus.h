@@ -66,6 +66,10 @@ struct BusStats {
                                   // retrying on the other (not transmit-busy;
                                   // folding it into busy_us inflated E6's
                                   // bus-utilization numbers)
+  // The longest single transmission: a frame holds its line this long, and
+  // no heartbeat can preempt it (§7.10).
+  SimTime max_frame_us = 0;
+  uint64_t max_frame_bytes = 0;   // wire bytes of the largest frame
 };
 
 // How a bus instance sits inside a segmented fabric (src/bus/fabric.h). The

@@ -322,16 +322,6 @@ Pcb* Kernel::FindProcess(Gpid pid) {
   return it == procs_.end() ? nullptr : it->second.get();
 }
 
-size_t Kernel::num_live_processes() const {
-  size_t n = 0;
-  for (const auto& [pid, pcb] : procs_) {
-    if (pcb->state != ProcState::kExited && pcb->state != ProcState::kParkedBackup) {
-      ++n;
-    }
-  }
-  return n;
-}
-
 bool Kernel::Quiescent() const {
   return ready_.empty() && outgoing_.empty() && exec_queue_.empty() &&
          flush_queue_.empty();

@@ -113,7 +113,6 @@ class Kernel : public BusEndpoint {
   // --- test & harness access ---
   Pcb* FindProcess(Gpid pid);
   RoutingTable& routing() { return routing_; }
-  size_t num_live_processes() const;
   bool Quiescent() const;  // no ready work, empty queues (drained)
 
   // Places a message on a local entry of `owner` identified by binding_tag

@@ -1,5 +1,6 @@
 #include "src/fault/campaign.h"
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <sstream>
@@ -89,6 +90,7 @@ struct RunOutcome {
   bool converged = false;
   uint64_t takeovers = 0;
   uint64_t crashes_handled = 0;
+  BusStats bus;
   TraceDigest trace_digest;
   std::map<uint64_t, int32_t> exit_statuses;
   // Spawned workloads (RunSpawned): terminal records and their digest.
@@ -107,6 +109,7 @@ void ObserveRunEnd(Machine& machine, const CampaignOptions& opt, RunOutcome& out
   const Metrics m = machine.metrics();
   out.takeovers = m.takeovers;
   out.crashes_handled = m.crashes_handled;
+  out.bus = machine.bus().stats();
   out.trace_digest = machine.tracer()->digest();
   out.exit_statuses = machine.exit_statuses();
   out.converged = true;
@@ -275,6 +278,13 @@ ScenarioResult RunProtocol(uint64_t seed, const CampaignOptions& opt, const Fami
   };
 
   const RunOutcome ref = family.run(false);
+  result.max_frame_us = ref.bus.max_frame_us;
+  result.max_frame_bytes = ref.bus.max_frame_bytes;
+  if (ref.crashes_handled != 0) {
+    fail("false death: the fault-free reference run handled " +
+         std::to_string(ref.crashes_handled) + " crash(es)");
+    return result;
+  }
   if (!ref.completed) {
     fail(ref.livelock ? "reference run hit the dispatch limit" : "reference run stalled");
     return result;
@@ -288,6 +298,8 @@ ScenarioResult RunProtocol(uint64_t seed, const CampaignOptions& opt, const Fami
   result.takeovers = got.takeovers;
   result.crashes_handled = got.crashes_handled;
   result.tty_duplicates = got.tty_duplicates;
+  result.max_frame_us = std::max(result.max_frame_us, got.bus.max_frame_us);
+  result.max_frame_bytes = std::max(result.max_frame_bytes, got.bus.max_frame_bytes);
   result.trace_digest = got.trace_digest;
   if (got.livelock) {
     fail("livelock: dispatch limit hit");
@@ -505,6 +517,8 @@ CampaignSummary RunCampaign(uint64_t first_seed, uint64_t count, const CampaignO
     summary.run++;
     // First token of Describe() is the scenario kind.
     summary.by_scenario[r.scenario.substr(0, r.scenario.find(' '))]++;
+    summary.max_frame_us = std::max(summary.max_frame_us, r.max_frame_us);
+    summary.max_frame_bytes = std::max(summary.max_frame_bytes, r.max_frame_bytes);
     if (!r.ok) {
       summary.failed++;
       summary.failures.push_back(r);

@@ -12,6 +12,10 @@
 //   3. determinism replay (optional) — the faulted run again; its full
 //      machine trace digest must match run 2 exactly.
 //
+// Every family's reference run must also handle no crash: a cluster
+// declared dead without a fault is a false death, named as such instead of
+// surfacing as a stall.
+//
 // Invariants the pairs family checks after the faulted run:
 //   * no AURAGEN_CHECK fires (a fired check aborts the campaign process);
 //   * the run completes — every workload process exits — without tripping
@@ -79,6 +83,10 @@ struct ScenarioResult {
   uint64_t takeovers = 0;
   uint64_t crashes_handled = 0;
   uint64_t tty_duplicates = 0;
+  // The longest single bus transmission of the reference and faulted runs
+  // (BusStats::max_frame_us / max_frame_bytes).
+  SimTime max_frame_us = 0;
+  uint64_t max_frame_bytes = 0;
   // Machine trace digest of the faulted run: the behaviour oracle (a
   // parallel campaign, or another build, must reproduce it seed for seed).
   TraceDigest trace_digest;
@@ -112,6 +120,8 @@ struct CampaignSummary {
   uint64_t failed = 0;
   std::map<std::string, uint64_t> by_scenario;  // scenario kind name -> runs
   std::vector<ScenarioResult> failures;
+  SimTime max_frame_us = 0;  // the longest transmission of any scenario
+  uint64_t max_frame_bytes = 0;
 };
 
 // Runs seeds [first_seed, first_seed + count). `on_result` (if set) fires

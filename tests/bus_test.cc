@@ -321,6 +321,15 @@ TEST(Bus, FailoverWaitAccountedSeparatelyFromBusyTime) {
             f.endpoints[1].times[0] + g.config.line_failover_timeout_us);
 }
 
+TEST(Bus, StatsKeepTheLongestTransmission) {
+  BusFixture f;
+  f.bus.Transmit(0, MaskOf(1), Bytes(4096, 0));
+  f.bus.Transmit(0, MaskOf(1), Bytes(16, 0));
+  f.engine.Run();
+  EXPECT_EQ(f.bus.stats().max_frame_bytes, 4096 + Frame::kHeaderBytes);
+  EXPECT_EQ(f.bus.stats().max_frame_us, f.config.FrameTime(4096 + Frame::kHeaderBytes));
+}
+
 TEST(Bus, RejectsBadClusterCounts) {
   Engine engine(Engine::kNoLogClock);
   // The raw bus now carries up to kMaxClusters (a fabric segment bus is the

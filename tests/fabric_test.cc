@@ -179,6 +179,18 @@ TEST(Fabric, FailedSwitchHoldsThenDrainsFifo) {
   EXPECT_EQ(*f.endpoints[3].frames[0].payload, Bytes{2});
 }
 
+TEST(Fabric, StatsAddCountersAndKeepTheLongestFrame) {
+  FabricFixture f;
+  f.fabric.Transmit(0, MaskOf(1), Bytes(64, 0));    // segment 0 only
+  f.fabric.Transmit(2, MaskOf(3), Bytes(1000, 0));  // segment 1 only
+  f.engine.Run();
+  const BusStats stats = f.fabric.stats();
+  EXPECT_EQ(stats.frames_sent, 2u);
+  EXPECT_EQ(stats.max_frame_bytes, 1000 + Frame::kHeaderBytes);
+  EXPECT_EQ(stats.max_frame_us, f.fabric.segment_stats(1).max_frame_us);
+  EXPECT_GT(stats.max_frame_us, f.fabric.segment_stats(0).max_frame_us);
+}
+
 TEST(Fabric, DetachedClusterSkippedOthersStillDelivered) {
   FabricFixture f;
   f.fabric.DetachEndpoint(3);

@@ -44,9 +44,17 @@ TEST(MachineSmoke, BootsAndSettles) {
   machine.Boot();
   EXPECT_TRUE(machine.ClusterAlive(0));
   EXPECT_TRUE(machine.ClusterAlive(1));
-  // Servers live: fs+tty+ps in cluster 0 (+ page backup parked), page in 1.
-  EXPECT_GE(machine.kernel(0).num_live_processes(), 3u);
-  EXPECT_GE(machine.kernel(1).num_live_processes(), 1u);
+  // Servers live: fs, tty and ps in cluster 0 (beside the parked page
+  // backup), the page server in cluster 1.
+  auto live = [&](ClusterId c, Gpid pid) {
+    const Pcb* pcb = machine.kernel(c).FindProcess(pid);
+    return pcb != nullptr && pcb->state != ProcState::kExited &&
+           pcb->state != ProcState::kParkedBackup;
+  };
+  EXPECT_TRUE(live(0, Machine::kFsPid));
+  EXPECT_TRUE(live(0, Machine::kTtyPid));
+  EXPECT_TRUE(live(0, Machine::kPsPid));
+  EXPECT_TRUE(live(1, Machine::kPagePid));
 }
 
 TEST(MachineSmoke, HelloWorldOnTty) {

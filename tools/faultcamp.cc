@@ -173,6 +173,9 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(r.crashes_handled),
                 static_cast<unsigned long long>(r.tty_duplicates),
                 r.trace_digest.ToString().c_str());
+    std::printf("  longest frame: %llu us (%llu bytes)\n",
+                static_cast<unsigned long long>(r.max_frame_us),
+                static_cast<unsigned long long>(r.max_frame_bytes));
     if (!r.ok) {
       std::printf("  failure: %s\n", r.failure.c_str());
     }
@@ -192,6 +195,12 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(r.takeovers),
                   r.trace_digest.ToString().c_str());
     }
+  };
+
+  auto print_longest_frame = [](const auragen::CampaignSummary& summary) {
+    std::printf("  longest frame: %llu us (%llu bytes)\n",
+                static_cast<unsigned long long>(summary.max_frame_us),
+                static_cast<unsigned long long>(summary.max_frame_bytes));
   };
 
   if (cross_check) {
@@ -221,6 +230,7 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(par_summary.run), opt.engine_threads,
                 static_cast<unsigned long long>(par_summary.failed),
                 static_cast<unsigned long long>(mismatches));
+    print_longest_frame(par_summary);
     return (seq_summary.failed == 0 && par_summary.failed == 0 && mismatches == 0) ? 0 : 1;
   }
 
@@ -229,6 +239,7 @@ int main(int argc, char** argv) {
   std::printf("faultcamp: %llu scenarios, %llu failed\n",
               static_cast<unsigned long long>(summary.run),
               static_cast<unsigned long long>(summary.failed));
+  print_longest_frame(summary);
   for (const auto& [kind, count] : summary.by_scenario) {
     std::printf("  %-26s %llu\n", kind.c_str(), static_cast<unsigned long long>(count));
   }

@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <set>
 #include <string>
 
 #include "src/machine/machine.h"
@@ -218,6 +219,24 @@ int main(int argc, char** argv) {
               SyncModeName(sync_policy.mode), sync_policy.adaptive ? "+adaptive" : "",
               static_cast<unsigned long long>(kv.seed));
   std::printf("%s", report.ToString().c_str());
+  // A fault-free run should handle no crash; the accused clusters come from
+  // the kCrashDetect marks in the trace.
+  std::set<uint64_t> accused;
+  for (const TraceEvent& e : machine.tracer()->Events()) {
+    if (e.kind == TraceEventKind::kCrashDetect) {
+      accused.insert(e.a);
+    }
+  }
+  std::string accused_list;
+  for (uint64_t c : accused) {
+    accused_list += (accused_list.empty() ? "" : ",") + std::to_string(c);
+  }
+  const BusStats bus = machine.bus().stats();
+  std::printf("crashes_handled=%llu accused=%s longest_frame=%lluus (%llu bytes)\n",
+              static_cast<unsigned long long>(machine.metrics().crashes_handled),
+              accused_list.empty() ? "none" : accused_list.c_str(),
+              static_cast<unsigned long long>(bus.max_frame_us),
+              static_cast<unsigned long long>(bus.max_frame_bytes));
   if (stats) {
     std::printf("%s", AnalyzeTrace(machine.tracer()->Events()).ToString().c_str());
   }
