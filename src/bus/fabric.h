@@ -76,11 +76,11 @@ class Fabric {
   SegmentId segment_of(ClusterId c) const { return topology_.segment_of(c); }
   BusStats segment_stats(SegmentId s) const { return buses_[s]->stats(); }
 
-  // Switch faults. Failing a segment's
-  // switch partitions it from the fabric: its outbound cross-segment frames
-  // hold at the switch, its inbound copies hold at the trunk; both drain
-  // FIFO on restore, so no frame is dropped or reordered. A single-segment
-  // fabric has no switches; s is checked.
+  // Switch faults. Failing a segment's switch partitions it from the
+  // fabric: its outbound cross-segment frames hold at the switch, its
+  // inbound copies hold at the trunk; both drain FIFO on restore, so no
+  // frame is dropped or reordered. A single-segment fabric has no switches;
+  // s is checked.
   void FailSwitch(SegmentId s);
   void RestoreSwitch(SegmentId s);
   bool SwitchOk(SegmentId s) const;
@@ -112,7 +112,6 @@ class Fabric {
   std::vector<std::unique_ptr<InterclusterBus>> buses_;
   std::vector<std::unique_ptr<SwitchNode>> switches_;  // empty when 1 segment
 
-  // Trunk state.
   uint64_t next_trunk_seq_ = 0;
   uint64_t trunk_forwards_ = 0;
   std::vector<std::deque<std::pair<Frame, bool>>> trunk_held_;  // per dest segment

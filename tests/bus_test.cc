@@ -220,9 +220,8 @@ TEST(Bus, DualLineDeathMidTransmitKeepsAccountingConsistent) {
 }
 
 TEST(Bus, EveryTargetReceivesTheFrameAtTransmitCompletion) {
-  // No hop before arbitration or after the line: a frame sent at t=0 is
-  // received by every target at FrameTime, which already charges the
-  // arbitration, and at nothing later.
+  // A frame sent at t=0 is accepted at once and received by every target
+  // at FrameTime, which charges the arbitration.
   BusFixture f;
   f.bus.Transmit(0, MaskOf(1) | MaskOf(3), Bytes{42});
   f.engine.Run();

@@ -15,6 +15,7 @@
 #include <cstring>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "src/machine/machine.h"
 #include "src/trace/trace.h"
@@ -211,7 +212,8 @@ int main(int argc, char** argv) {
       [&] { return KvClientsDone(machine, d); }, run_cap_us);
   machine.Settle();
 
-  SloReport report = BuildSloReport(machine.tracer()->Events(), machine, d, done);
+  const std::vector<TraceEvent> events = machine.tracer()->Events();
+  SloReport report = BuildSloReport(events, machine, d, done);
   std::printf("kvload: %u sessions x %u requests, %u partitions, %u replicas, "
               "%u clusters/%u segments, strategy=%s, sync=%s%s, seed=%llu\n",
               kv.sessions, kv.requests_per_session, kv.partitions, kv.replicas,
@@ -222,7 +224,7 @@ int main(int argc, char** argv) {
   // A fault-free run should handle no crash; the accused clusters come from
   // the kCrashDetect marks in the trace.
   std::set<uint64_t> accused;
-  for (const TraceEvent& e : machine.tracer()->Events()) {
+  for (const TraceEvent& e : events) {
     if (e.kind == TraceEventKind::kCrashDetect) {
       accused.insert(e.a);
     }
@@ -238,7 +240,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(bus.max_frame_us),
               static_cast<unsigned long long>(bus.max_frame_bytes));
   if (stats) {
-    std::printf("%s", AnalyzeTrace(machine.tracer()->Events()).ToString().c_str());
+    std::printf("%s", AnalyzeTrace(events).ToString().c_str());
   }
   if (verbose) {
     for (uint32_t s = 0; s < kv.sessions; ++s) {
