@@ -20,32 +20,25 @@ StepResult Fault(const char* reason) {
   return r;
 }
 
-}  // namespace
-
-// The interpreter's hot loop starts on a cache line, so that edits elsewhere
-// in the binary cannot shift its branch layout: with byte-identical code, a
-// start 32 bytes into a line cost the campaign benchmark ~10% host time.
-__attribute__((aligned(64))) StepResult Step(CpuContext& ctx, GuestMemory& mem) {
-  // Fetch. The PC must be 8-byte aligned; text pages are ordinary pages and
-  // can fault like any other (text is demand-paged on recovery, §7.10.2).
-  if (ctx.pc % kAvmInstrBytes != 0 || ctx.pc + kAvmInstrBytes > kAvmMemBytes) {
-    return Fault("bad pc");
+// True when a data access succeeded; otherwise sets *r to its trap: a page
+// fault on a non-resident page, `out_of_range` past the address space.
+bool AccessOk(GuestMemory::Access a, const GuestMemory& mem, const char* out_of_range,
+              StepResult* r) {
+  if (a == GuestMemory::Access::kOk) {
+    return true;
   }
-  uint8_t raw[kAvmInstrBytes];
-  {
-    GuestMemory::Access a = mem.FetchInstr(ctx.pc, raw);
-    if (a == GuestMemory::Access::kFault) {
-      return PageFault(mem.fault_page());
-    }
-    if (a == GuestMemory::Access::kOutOfRange) {
-      return Fault("fetch out of range");
-    }
-  }
-  Instr in = DecodeInstr(raw);
+  *r = a == GuestMemory::Access::kFault ? PageFault(mem.fault_page()) : Fault(out_of_range);
+  return false;
+}
 
-  auto reg_ok = [](uint8_t r) { return r < kAvmNumRegs; };
+// Executes the decoded instruction at ctx.pc. Returns true when it retired
+// as kOk (pc advanced); otherwise sets *r to what stopped it.
+[[gnu::always_inline]] inline bool Execute(const Instr& in, CpuContext& ctx, GuestMemory& mem,
+                                           StepResult* r) {
+  auto reg_ok = [](uint8_t n) { return n < kAvmNumRegs; };
   if (!reg_ok(in.ra) || !reg_ok(in.rb) || !reg_ok(in.rc)) {
-    return Fault("bad register");
+    *r = Fault("bad register");
+    return false;
   }
   uint32_t& ra = ctx.regs[in.ra];
   uint32_t rb = ctx.regs[in.rb];
@@ -55,11 +48,9 @@ __attribute__((aligned(64))) StepResult Step(CpuContext& ctx, GuestMemory& mem) 
   switch (in.op) {
     case Op::kNop:
       break;
-    case Op::kHalt: {
-      StepResult r;
-      r.kind = StepKind::kHalt;
-      return r;
-    }
+    case Op::kHalt:
+      r->kind = StepKind::kHalt;
+      return false;
 
     case Op::kLi:
       ra = in.imm;
@@ -70,61 +61,46 @@ __attribute__((aligned(64))) StepResult Step(CpuContext& ctx, GuestMemory& mem) 
 
     case Op::kLd: {
       uint32_t v = 0;
-      GuestMemory::Access a = mem.Read32(rb + in.imm, &v);
-      if (a == GuestMemory::Access::kFault) {
-        return PageFault(mem.fault_page());
-      }
-      if (a == GuestMemory::Access::kOutOfRange) {
-        return Fault("load out of range");
+      if (!AccessOk(mem.Read32(rb + in.imm, &v), mem, "load out of range", r)) {
+        return false;
       }
       ra = v;
       break;
     }
     case Op::kLdb: {
       uint8_t v = 0;
-      GuestMemory::Access a = mem.Read8(rb + in.imm, &v);
-      if (a == GuestMemory::Access::kFault) {
-        return PageFault(mem.fault_page());
-      }
-      if (a == GuestMemory::Access::kOutOfRange) {
-        return Fault("load out of range");
+      if (!AccessOk(mem.Read8(rb + in.imm, &v), mem, "load out of range", r)) {
+        return false;
       }
       ra = v;
       break;
     }
-    case Op::kSt: {
-      GuestMemory::Access a = mem.Write32(rb + in.imm, ra);
-      if (a == GuestMemory::Access::kFault) {
-        return PageFault(mem.fault_page());
-      }
-      if (a == GuestMemory::Access::kOutOfRange) {
-        return Fault("store out of range");
+    case Op::kSt:
+      if (!AccessOk(mem.Write32(rb + in.imm, ra), mem, "store out of range", r)) {
+        return false;
       }
       break;
-    }
-    case Op::kStb: {
-      GuestMemory::Access a = mem.Write8(rb + in.imm, static_cast<uint8_t>(ra));
-      if (a == GuestMemory::Access::kFault) {
-        return PageFault(mem.fault_page());
-      }
-      if (a == GuestMemory::Access::kOutOfRange) {
-        return Fault("store out of range");
+    case Op::kStb:
+      if (!AccessOk(mem.Write8(rb + in.imm, static_cast<uint8_t>(ra)), mem,
+                    "store out of range", r)) {
+        return false;
       }
       break;
-    }
 
     case Op::kAdd: ra = rb + rc; break;
     case Op::kSub: ra = rb - rc; break;
     case Op::kMul: ra = rb * rc; break;
     case Op::kDiv:
       if (rc == 0) {
-        return Fault("divide by zero");
+        *r = Fault("divide by zero");
+        return false;
       }
       ra = static_cast<uint32_t>(static_cast<int32_t>(rb) / static_cast<int32_t>(rc));
       break;
     case Op::kMod:
       if (rc == 0) {
-        return Fault("divide by zero");
+        *r = Fault("divide by zero");
+        return false;
       }
       ra = static_cast<uint32_t>(static_cast<int32_t>(rb) % static_cast<int32_t>(rc));
       break;
@@ -168,27 +144,73 @@ __attribute__((aligned(64))) StepResult Step(CpuContext& ctx, GuestMemory& mem) 
       next_pc = ctx.regs[in.ra];
       break;
 
-    case Op::kSys: {
+    case Op::kSys:
       // The trap retires: pc moves past SYS so the kernel resumes the
       // process at the next instruction after writing r0.
       ctx.pc = next_pc;
-      StepResult r;
-      r.kind = StepKind::kSyscall;
-      r.sys_num = in.imm;
-      return r;
-    }
+      r->kind = StepKind::kSyscall;
+      r->sys_num = in.imm;
+      return false;
 
     default:
-      return Fault("illegal opcode");
+      *r = Fault("illegal opcode");
+      return false;
   }
 
   ctx.pc = next_pc;
-  return StepResult{};
+  return true;
+}
+
+// An aligned pc masked with kFetchMask is the address of its page; an
+// unaligned one keeps a low bit, so it never matches a page's address.
+constexpr uint32_t kFetchMask = ~(kAvmPageBytes - 1) | (kAvmInstrBytes - 1);
+constexpr uint32_t kNoFetchPage = ~uint32_t{0};
+
+}  // namespace
+
+// The interpreter's hot loop starts on a cache line, so that edits elsewhere
+// in the binary cannot shift its branch layout: with byte-identical code, a
+// start 32 bytes into a line cost the campaign benchmark ~10% host time.
+__attribute__((aligned(64))) StepResult Run(CpuContext& ctx, GuestMemory& mem, uint64_t limit,
+                                            uint64_t* retired) {
+  // The page the pc is on and its bytes. Nothing inside one call installs,
+  // evicts or moves a page (page-in, EvictAll and the pending read copy all
+  // happen between calls), so the bytes stay valid until the pc leaves the
+  // page, and the page is looked up only then.
+  uint32_t fetch_page = kNoFetchPage;
+  const uint8_t* page = nullptr;
+  StepResult result;  // kOk: `limit` instructions retired
+  uint64_t n = 0;
+  for (; n < limit; ++n) {
+    // Fetch. The PC must be 8-byte aligned; text pages are ordinary pages and
+    // can fault like any other (text is demand-paged on recovery, §7.10.2).
+    if ((ctx.pc & kFetchMask) != fetch_page) {
+      if (ctx.pc % kAvmInstrBytes != 0 || ctx.pc + kAvmInstrBytes > kAvmMemBytes) {
+        result = Fault("bad pc");
+        break;
+      }
+      if (!AccessOk(mem.FetchPage(ctx.pc, &page), mem, "fetch out of range", &result)) {
+        break;
+      }
+      fetch_page = ctx.pc & kFetchMask;
+    }
+    if (!Execute(DecodeInstr(page + ctx.pc % kAvmPageBytes), ctx, mem, &result)) {
+      break;
+    }
+  }
+  *retired = n;
+  return result;
 }
 
 std::string Disassemble(const Instr& in) {
   std::ostringstream os;
-  auto r = [](uint8_t n) { return "r" + std::to_string(n); };
+  // Appended rather than `"r" + std::to_string(n)`, which GCC 12 at -O3
+  // misreports as an overlapping copy (-Wrestrict).
+  auto r = [](uint8_t n) {
+    std::string reg = "r";
+    reg += std::to_string(n);
+    return reg;
+  };
   switch (in.op) {
     case Op::kNop: os << "nop"; break;
     case Op::kHalt: os << "halt"; break;

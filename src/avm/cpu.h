@@ -1,7 +1,8 @@
 // AVM interpreter.
 //
-// The CPU is deliberately a pure function: Step(context, memory) executes
-// one instruction and reports what happened. All durable state lives in
+// The CPU is deliberately a pure function: Run(context, memory, limit)
+// executes instructions until one does not retire as kOk or `limit` have
+// retired, and reports what stopped it. All durable state lives in
 // CpuContext (the register part of the PCB, §7.7) and GuestMemory (the page
 // account, §7.6) — exactly the two things the sync protocol ships. An
 // instruction that page-faults has *no* side effects and leaves the PC
@@ -55,8 +56,12 @@ struct StepResult {
   const char* fault_reason = nullptr;  // valid when kFault
 };
 
-// Executes one instruction.
-StepResult Step(CpuContext& ctx, GuestMemory& mem);
+// Executes instructions until one does not retire as kOk, or until `limit`
+// have retired; `*retired` counts the kOk ones. The result describes the
+// instruction that stopped the run, or is kOk when the limit was reached
+// (at once for a limit of 0). Instructions are fetched straight from the
+// current page's bytes, so a store into the text is what executes next.
+StepResult Run(CpuContext& ctx, GuestMemory& mem, uint64_t limit, uint64_t* retired);
 
 // Renders an instruction for traces and the disassembler.
 std::string Disassemble(const Instr& instr);

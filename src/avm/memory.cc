@@ -6,7 +6,7 @@
 namespace auragen {
 
 GuestMemory::GuestMemory()
-    : pages_(kAvmNumPages), resident_(kAvmNumPages, false), dirty_gen_(kAvmNumPages, 0) {}
+    : pages_(kAvmNumPages), dirty_gen_(kAvmNumPages, 0) {}
 
 GuestMemory::Access GuestMemory::ReadRange(uint32_t addr, uint32_t len, Bytes* out) {
   Access a = Require(addr, len);
@@ -48,7 +48,6 @@ void GuestMemory::InstallPage(PageNum page, const Bytes& content) {
   AURAGEN_CHECK(page < kAvmNumPages);
   AURAGEN_CHECK(content.size() == kAvmPageBytes) << "bad page size" << content.size();
   pages_[page] = content;
-  resident_[page] = true;
   dirty_gen_[page] = 0;
 }
 
@@ -60,13 +59,12 @@ void GuestMemory::InstallPageDirty(PageNum page, const Bytes& content) {
 void GuestMemory::MaterializeZero(PageNum page, bool dirty) {
   AURAGEN_CHECK(page < kAvmNumPages);
   pages_[page].assign(kAvmPageBytes, 0);
-  resident_[page] = true;
   dirty_gen_[page] = dirty ? write_gen_ : 0;
 }
 
 Bytes GuestMemory::ExtractPage(PageNum page) const {
   AURAGEN_CHECK(page < kAvmNumPages);
-  AURAGEN_CHECK(resident_[page]) << "extracting non-resident page" << page;
+  AURAGEN_CHECK(Resident(page)) << "extracting non-resident page" << page;
   return pages_[page];
 }
 
@@ -90,7 +88,7 @@ void GuestMemory::ClearAllDirty() {
 std::vector<std::pair<PageNum, Bytes>> GuestMemory::CaptureFlushPages(bool full) {
   std::vector<std::pair<PageNum, Bytes>> out;
   for (PageNum p = 0; p < kAvmNumPages; ++p) {
-    if (!resident_[p]) {
+    if (!Resident(p)) {
       continue;
     }
     if (full || Dirty(p)) {
@@ -105,7 +103,6 @@ void GuestMemory::EvictAll() {
   for (PageNum p = 0; p < kAvmNumPages; ++p) {
     pages_[p].clear();
     pages_[p].shrink_to_fit();
-    resident_[p] = false;
     dirty_gen_[p] = 0;
   }
 }
@@ -113,7 +110,7 @@ void GuestMemory::EvictAll() {
 uint32_t GuestMemory::resident_count() const {
   uint32_t n = 0;
   for (PageNum p = 0; p < kAvmNumPages; ++p) {
-    n += resident_[p] ? 1u : 0u;
+    n += Resident(p) ? 1u : 0u;
   }
   return n;
 }

@@ -36,10 +36,14 @@ class GuestMemory {
   Access Write8(uint32_t addr, uint8_t value);
   Access Write32(uint32_t addr, uint32_t value);
 
-  // One aligned instruction word per call. Alignment guarantees the fetch
-  // never crosses a page (kAvmPageBytes is a multiple of kAvmInstrBytes),
-  // so a single residency check covers all bytes.
-  Access FetchInstr(uint32_t addr, uint8_t out[kAvmInstrBytes]);
+  // Sets *page to the bytes of the page holding the instruction word at the
+  // aligned `addr`, for the interpreter to fetch from until its pc leaves
+  // that page. Alignment guarantees a fetch never crosses a page
+  // (kAvmPageBytes is a multiple of kAvmInstrBytes), so a single residency
+  // check covers the word. The bytes are the page's own, so stores land in
+  // them; the pointer stays valid until the page is installed, zero-filled
+  // or evicted, none of which happens while the interpreter runs.
+  Access FetchPage(uint32_t addr, const uint8_t** page);
 
   // Bulk access for kernel copies of syscall buffers. Faults on the first
   // non-resident page touched.
@@ -59,7 +63,7 @@ class GuestMemory {
 
   Bytes ExtractPage(PageNum page) const;
 
-  bool Resident(PageNum page) const { return resident_[page]; }
+  bool Resident(PageNum page) const { return !pages_[page].empty(); }
   // Dirty = written since the last flush capture (generation newer than the
   // last one flushed).
   bool Dirty(PageNum page) const { return dirty_gen_[page] > flushed_gen_; }
@@ -84,8 +88,9 @@ class GuestMemory {
  private:
   Access Require(uint32_t addr, uint32_t len);
 
-  std::vector<Bytes> pages_;     // page -> kAvmPageBytes content (or empty)
-  std::vector<bool> resident_;
+  // page -> kAvmPageBytes content when resident, empty when not: every
+  // writer of a page installs a whole page or clears it.
+  std::vector<Bytes> pages_;
   // Per-page dirty generation: the value of write_gen_ at the page's most
   // recent write (0 = never written / explicitly cleaned). A page is dirty
   // when its generation is newer than flushed_gen_, the generation covered
@@ -108,7 +113,7 @@ inline GuestMemory::Access GuestMemory::Require(uint32_t addr, uint32_t len) {
   PageNum first = PageOf(addr);
   PageNum last = PageOf(addr + len - 1);
   for (PageNum p = first; p <= last; ++p) {
-    if (!resident_[p]) {
+    if (pages_[p].empty()) {
       fault_page_ = p;
       return Access::kFault;
     }
@@ -182,19 +187,14 @@ inline GuestMemory::Access GuestMemory::Write32(uint32_t addr, uint32_t value) {
   return Access::kOk;
 }
 
-inline GuestMemory::Access GuestMemory::FetchInstr(uint32_t addr,
-                                                   uint8_t out[kAvmInstrBytes]) {
+inline GuestMemory::Access GuestMemory::FetchPage(uint32_t addr, const uint8_t** page) {
   static_assert(kAvmPageBytes % kAvmInstrBytes == 0,
                 "aligned fetches must not cross pages");
   Access a = Require(addr, kAvmInstrBytes);
-  if (a != Access::kOk) {
-    return a;
+  if (a == Access::kOk) {
+    *page = pages_[PageOf(addr)].data();
   }
-  const uint8_t* b = pages_[PageOf(addr)].data() + addr % kAvmPageBytes;
-  for (uint32_t i = 0; i < kAvmInstrBytes; ++i) {
-    out[i] = b[i];
-  }
-  return Access::kOk;
+  return a;
 }
 
 }  // namespace auragen

@@ -14,7 +14,6 @@ AvmBody::AvmBody(const Executable& exe) {
 
 BodyRun AvmBody::Run(uint64_t budget) {
   AURAGEN_CHECK(!awaiting_completion_) << "Run before CompleteSyscall";
-  uint64_t work = 0;
 
   // Apply a deferred read-data copy first; it may fault and retry.
   if (pending_copy_.has_value()) {
@@ -37,52 +36,42 @@ BodyRun AvmBody::Run(uint64_t budget) {
     pending_copy_.reset();
   }
 
-  while (work < budget) {
-    StepResult step = Step(ctx_, mem_);
-    switch (step.kind) {
-      case StepKind::kOk:
-        ++work;
-        break;
-      case StepKind::kSyscall: {
-        work += kSyscallWork;
-        std::optional<BodyRun> run = MaterializeSyscall(step.sys_num, work);
-        if (run.has_value()) {
-          return *run;
-        }
-        // Argument copy faulted: pc was rewound to re-trap; report the fault.
-        BodyRun r;
-        r.kind = BodyRun::Kind::kPageFault;
-        r.fault_page = mem_.fault_page();
-        r.work = work;
-        return r;
-      }
-      case StepKind::kPageFault: {
-        BodyRun r;
-        r.kind = BodyRun::Kind::kPageFault;
-        r.fault_page = step.fault_page;
-        r.work = work;
-        return r;
-      }
-      case StepKind::kHalt: {
-        BodyRun r;
-        r.kind = BodyRun::Kind::kExited;
-        r.exit_status = static_cast<int32_t>(ctx_.regs[1]);
-        r.work = work + 1;
-        return r;
-      }
-      case StepKind::kFault: {
-        BodyRun r;
-        r.kind = BodyRun::Kind::kFault;
-        r.fault_reason = step.fault_reason;
-        r.work = work + 1;
-        return r;
-      }
-    }
-  }
-
-  BodyRun r;
-  r.kind = BodyRun::Kind::kBudget;
+  // One interpreter call runs the whole budget; each instruction that
+  // retires as kOk is one unit of work.
+  uint64_t work = 0;
+  StepResult step = auragen::Run(ctx_, mem_, budget, &work);
+  BodyRun r;  // kBudget
   r.work = work;
+  switch (step.kind) {
+    case StepKind::kOk:
+      break;
+    case StepKind::kSyscall: {
+      work += kSyscallWork;
+      std::optional<BodyRun> run = MaterializeSyscall(step.sys_num, work);
+      if (run.has_value()) {
+        return *run;
+      }
+      // Argument copy faulted: pc was rewound to re-trap; report the fault.
+      r.kind = BodyRun::Kind::kPageFault;
+      r.fault_page = mem_.fault_page();
+      r.work = work;
+      break;
+    }
+    case StepKind::kPageFault:
+      r.kind = BodyRun::Kind::kPageFault;
+      r.fault_page = step.fault_page;
+      break;
+    case StepKind::kHalt:
+      r.kind = BodyRun::Kind::kExited;
+      r.exit_status = static_cast<int32_t>(ctx_.regs[1]);
+      r.work = work + 1;
+      break;
+    case StepKind::kFault:
+      r.kind = BodyRun::Kind::kFault;
+      r.fault_reason = step.fault_reason;
+      r.work = work + 1;
+      break;
+  }
   return r;
 }
 

@@ -12,6 +12,12 @@
 namespace auragen {
 namespace {
 
+// Executes one instruction: a run with a limit of 1.
+StepResult Step(CpuContext& ctx, GuestMemory& mem) {
+  uint64_t retired = 0;
+  return Run(ctx, mem, 1, &retired);
+}
+
 TEST(GuestMemory, FaultsOnNonResident) {
   GuestMemory mem;
   uint8_t v = 0;
@@ -261,6 +267,223 @@ TEST(Cpu, PageFaultHasNoSideEffects) {
   uint32_t v;
   mem.Read32(0xC000, &v);
   EXPECT_EQ(v, 7u);
+}
+
+// --- the run loop against single steps ---
+
+struct RunOutcome {
+  StepResult result;
+  uint64_t retired = 0;
+  CpuContext ctx;
+  GuestMemory mem;
+};
+
+// Runs one Run call of `limit` and, from the same state, a loop of Step
+// calls that stops where Run must: at the first instruction that does not
+// retire as kOk, or after `limit` have. The two must agree on everything a
+// caller can see. Returns the Run side for case-specific checks.
+RunOutcome ExpectRunMatchesSteps(const CpuContext& ctx, const GuestMemory& mem,
+                                 uint64_t limit) {
+  RunOutcome run{StepResult{}, 0, ctx, mem};
+  run.result = Run(run.ctx, run.mem, limit, &run.retired);
+
+  RunOutcome step{StepResult{}, 0, ctx, mem};
+  while (step.retired < limit) {
+    step.result = Step(step.ctx, step.mem);
+    if (step.result.kind != StepKind::kOk) {
+      break;
+    }
+    ++step.retired;
+  }
+
+  EXPECT_EQ(run.retired, step.retired);
+  EXPECT_EQ(run.result.kind, step.result.kind);
+  EXPECT_EQ(run.result.sys_num, step.result.sys_num);
+  EXPECT_EQ(run.result.fault_page, step.result.fault_page);
+  EXPECT_EQ(run.result.fault_reason == nullptr, step.result.fault_reason == nullptr);
+  if (run.result.fault_reason != nullptr && step.result.fault_reason != nullptr) {
+    EXPECT_STREQ(run.result.fault_reason, step.result.fault_reason);
+  }
+  EXPECT_TRUE(run.ctx == step.ctx);
+  EXPECT_EQ(run.mem.fault_page(), step.mem.fault_page());
+  EXPECT_EQ(run.mem.DirtyPages(), step.mem.DirtyPages());
+  for (PageNum p = 0; p < kAvmNumPages; ++p) {
+    EXPECT_EQ(run.mem.Resident(p), step.mem.Resident(p)) << "page " << p;
+    if (run.mem.Resident(p) && step.mem.Resident(p)) {
+      EXPECT_EQ(run.mem.ExtractPage(p), step.mem.ExtractPage(p)) << "page " << p;
+    }
+  }
+  return run;
+}
+
+RunOutcome ExpectRunMatchesSteps(const std::string& src, uint64_t limit) {
+  AvmBody body(MustAssemble(src));
+  return ExpectRunMatchesSteps(body.context(), body.memory(), limit);
+}
+
+// A page holding `code` from its first byte; the rest is zero, which
+// decodes as nop.
+Bytes CodePage(const std::vector<Instr>& code) {
+  Bytes page(kAvmPageBytes, 0);
+  for (size_t i = 0; i < code.size(); ++i) {
+    EncodeInstr(code[i], page.data() + i * kAvmInstrBytes);
+  }
+  return page;
+}
+
+TEST(RunLoop, StoreRewritesTheNextInstruction) {
+  // The store patches the immediate of the instruction right after it, on
+  // the page being executed; the patched value is what executes.
+  RunOutcome run = ExpectRunMatchesSteps(R"(
+    li r1, 7
+    li r2, target
+    st r1, r2, 4
+target:
+    li r3, 1
+    halt
+)", 100);
+  EXPECT_EQ(run.result.kind, StepKind::kHalt);
+  EXPECT_EQ(run.retired, 4u);
+  EXPECT_EQ(run.ctx.regs[3], 7u);
+}
+
+TEST(RunLoop, RunsOffAResidentPageIntoAMissingOne) {
+  Instr addi;
+  addi.op = Op::kAddi;
+  addi.ra = 1;
+  addi.rb = 1;
+  addi.imm = 1;
+  GuestMemory mem;
+  mem.InstallPageDirty(0, CodePage(std::vector<Instr>(kAvmPageBytes / kAvmInstrBytes, addi)));
+  CpuContext ctx;
+  RunOutcome run = ExpectRunMatchesSteps(ctx, mem, 1000);
+  ASSERT_EQ(run.result.kind, StepKind::kPageFault);
+  EXPECT_EQ(run.result.fault_page, 1u);
+  EXPECT_EQ(run.mem.fault_page(), 1u);
+  EXPECT_EQ(run.retired, kAvmPageBytes / kAvmInstrBytes);
+  EXPECT_EQ(run.ctx.pc, kAvmPageBytes);  // the new page's first instruction
+  EXPECT_EQ(run.ctx.regs[1], kAvmPageBytes / kAvmInstrBytes);
+
+  // Once the page is in, the same loop carries on across the boundary.
+  run.mem.InstallPageDirty(1, CodePage({addi, Instr{Op::kHalt, 0, 0, 0, 0}}));
+  RunOutcome resumed = ExpectRunMatchesSteps(run.ctx, run.mem, 1000);
+  EXPECT_EQ(resumed.result.kind, StepKind::kHalt);
+  EXPECT_EQ(resumed.retired, 1u);
+  EXPECT_EQ(resumed.ctx.regs[1], kAvmPageBytes / kAvmInstrBytes + 1);
+}
+
+TEST(RunLoop, DataFaultsMidRunHaveNoSideEffects) {
+  for (const char* access : {"ld r3, r2, 0", "st r1, r2, 0"}) {
+    SCOPED_TRACE(access);
+    RunOutcome run = ExpectRunMatchesSteps(std::string(R"(
+    li r1, 5
+    li r3, 9
+    li r2, 0xC000
+    )") + access + "\n    halt\n", 100);
+    ASSERT_EQ(run.result.kind, StepKind::kPageFault);
+    EXPECT_EQ(run.result.fault_page, PageOf(0xC000));
+    EXPECT_EQ(run.retired, 3u);
+    EXPECT_EQ(run.ctx.pc, 3 * kAvmInstrBytes);  // the faulting access
+    EXPECT_EQ(run.ctx.regs[3], 9u);
+    EXPECT_FALSE(run.mem.Resident(PageOf(0xC000)));
+  }
+}
+
+TEST(RunLoop, TrapsEndTheRun) {
+  struct Case {
+    const char* name;
+    std::string src;
+    StepKind kind;
+    const char* reason;
+    uint32_t pc;  // after the run
+  };
+  const Case cases[] = {
+      {"unaligned jr", "li r1, 13\njr r1\nhalt\n", StepKind::kFault, "bad pc", 13},
+      {"jr past the address space", "li r1, 0xFFFFFFF8\njr r1\nhalt\n", StepKind::kFault,
+       "fetch out of range", 0xFFFFFFF8u},
+      {"halt", "li r1, 1\nli r1, 2\nhalt\n", StepKind::kHalt, nullptr, 16},
+      {"sys", "li r1, 1\nli r1, 2\nsys yield\nhalt\n", StepKind::kSyscall, nullptr, 24},
+      {"divide by zero", "li r1, 1\nli r2, 0\ndiv r3, r1, r2\nhalt\n", StepKind::kFault,
+       "divide by zero", 16},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    RunOutcome run = ExpectRunMatchesSteps(c.src, 100);
+    EXPECT_EQ(run.result.kind, c.kind);
+    EXPECT_EQ(run.retired, 2u);
+    EXPECT_EQ(run.ctx.pc, c.pc);
+    if (c.reason != nullptr) {
+      EXPECT_STREQ(run.result.fault_reason, c.reason);
+    }
+    if (c.kind == StepKind::kSyscall) {
+      EXPECT_EQ(run.result.sys_num, static_cast<uint32_t>(Sys::kYield));
+    }
+  }
+}
+
+TEST(RunLoop, BadEncodingsFault) {
+  Instr li;
+  li.op = Op::kLi;
+  li.ra = 2;
+  li.imm = 4;
+  Instr bad_register = li;
+  bad_register.ra = kAvmNumRegs;
+  Instr illegal;
+  illegal.op = static_cast<Op>(0xee);
+  for (const auto& [bad, reason] : {std::pair{bad_register, "bad register"},
+                                    std::pair{illegal, "illegal opcode"}}) {
+    SCOPED_TRACE(reason);
+    GuestMemory mem;
+    mem.InstallPageDirty(0, CodePage({li, li, bad}));
+    RunOutcome run = ExpectRunMatchesSteps(CpuContext{}, mem, 100);
+    EXPECT_EQ(run.result.kind, StepKind::kFault);
+    EXPECT_STREQ(run.result.fault_reason, reason);
+    EXPECT_EQ(run.retired, 2u);
+    EXPECT_EQ(run.ctx.pc, 2 * kAvmInstrBytes);
+  }
+}
+
+TEST(RunLoop, LimitStopsBeforeTheNextInstruction) {
+  const std::string src = "li r1, 1\nli r2, 2\nsys yield\nhalt\n";
+  // At 2 the budget runs out just before the SYS, which has not trapped.
+  for (uint64_t limit : {0u, 1u, 2u}) {
+    SCOPED_TRACE(limit);
+    RunOutcome run = ExpectRunMatchesSteps(src, limit);
+    EXPECT_EQ(run.result.kind, StepKind::kOk);
+    EXPECT_EQ(run.retired, limit);
+    EXPECT_EQ(run.ctx.pc, limit * kAvmInstrBytes);
+    EXPECT_EQ(run.ctx.regs[2], limit == 2 ? 2u : 0u);
+  }
+  RunOutcome sys = ExpectRunMatchesSteps(src, 3);
+  EXPECT_EQ(sys.result.kind, StepKind::kSyscall);
+  EXPECT_EQ(sys.retired, 2u);
+}
+
+TEST(AvmBody, WorkForEveryWayARunEnds) {
+  struct Case {
+    const char* name;
+    std::string src;
+    BodyRun::Kind kind;
+    uint64_t work;
+  };
+  const Case cases[] = {
+      // Five instructions of an endless loop.
+      {"budget", "top:\naddi r1, r1, 1\njmp top\n", BodyRun::Kind::kBudget, 5},
+      // Two instructions, then the trap's kSyscallWork of 20.
+      {"syscall", "li r1, 1\nli r2, 2\nsys yield\n", BodyRun::Kind::kSyscall, 22},
+      // The faulting load is not charged.
+      {"page fault", "li r1, 1\nli r2, 0xC000\nld r3, r2, 0\n", BodyRun::Kind::kPageFault, 2},
+      // HALT and a program fault each cost one more.
+      {"exit", "li r1, 3\nhalt\n", BodyRun::Kind::kExited, 2},
+      {"fault", "li r1, 1\nli r2, 0\ndiv r3, r1, r2\n", BodyRun::Kind::kFault, 3},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    AvmBody body(MustAssemble(c.src));
+    BodyRun run = body.Run(5);
+    EXPECT_EQ(run.kind, c.kind);
+    EXPECT_EQ(run.work, c.work);
+  }
 }
 
 TEST(AvmBody, ForkClonesMemoryAndDiffersR0) {

@@ -183,8 +183,16 @@ int main(int argc, char** argv) {
   }
 
   // With --verbose every seed's line carries its faulted-run trace digest,
-  // so two builds' campaigns compare from their output alone.
+  // so two builds' campaigns compare from their output alone. The totals
+  // always end with the same facts folded, in seed order, into one FNV-1a
+  // value: each seed, its pass/fail bit and its trace digest (hash, event
+  // count, last timestamp). A failing seed therefore moves it too.
+  uint64_t campaign_digest = 14695981039346656037ull;
   auto report = [&](const ScenarioResult& r) {
+    for (uint64_t w : {r.seed, uint64_t{r.ok}, r.trace_digest.hash, r.trace_digest.count,
+                       r.trace_digest.last_ts}) {
+      campaign_digest = (campaign_digest ^ w) * 1099511628211ull;
+    }
     if (!r.ok) {
       std::printf("seed %llu: FAIL  [%s] digest=%s\n  %s\n",
                   static_cast<unsigned long long>(r.seed), r.scenario.c_str(),
@@ -197,10 +205,11 @@ int main(int argc, char** argv) {
     }
   };
 
-  auto print_longest_frame = [](const auragen::CampaignSummary& summary) {
+  auto print_totals = [&](const auragen::CampaignSummary& summary) {
     std::printf("  longest frame: %llu us (%llu bytes)\n",
                 static_cast<unsigned long long>(summary.max_frame_us),
                 static_cast<unsigned long long>(summary.max_frame_bytes));
+    std::printf("  campaign digest: %016llx\n", static_cast<unsigned long long>(campaign_digest));
   };
 
   if (cross_check) {
@@ -230,7 +239,7 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(par_summary.run), opt.engine_threads,
                 static_cast<unsigned long long>(par_summary.failed),
                 static_cast<unsigned long long>(mismatches));
-    print_longest_frame(par_summary);
+    print_totals(par_summary);
     return (seq_summary.failed == 0 && par_summary.failed == 0 && mismatches == 0) ? 0 : 1;
   }
 
@@ -239,7 +248,7 @@ int main(int argc, char** argv) {
   std::printf("faultcamp: %llu scenarios, %llu failed\n",
               static_cast<unsigned long long>(summary.run),
               static_cast<unsigned long long>(summary.failed));
-  print_longest_frame(summary);
+  print_totals(summary);
   for (const auto& [kind, count] : summary.by_scenario) {
     std::printf("  %-26s %llu\n", kind.c_str(), static_cast<unsigned long long>(count));
   }
