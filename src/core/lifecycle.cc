@@ -80,7 +80,7 @@ void Kernel::CreateChannelPair(Pcb& pcb, Fd fd, ChannelId channel, const ServerA
     bind.header.dst_primary_cluster = server.primary;
     bind.header.dst_backup_cluster = server.backup;
     bind.header.src_backup_cluster = kNoCluster;
-    bind.body = EncodeTagged(ReqTag::kTtyBind);
+    bind.body = Encode(ReqTag::kTtyBind);
     ClusterMask targets = MaskOf(server.primary);
     if (server.backup != kNoCluster) {
       targets |= MaskOf(server.backup);

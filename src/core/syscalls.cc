@@ -174,19 +174,18 @@ void Kernel::ConsumeMessage(Pcb& pcb, RoutingEntry& entry, int64_t max, bool rea
     // Unwrap server reply framing so user programs see plain data/values:
     // kData / kTtyInput -> payload bytes, kStatus -> rv, kTime64 -> rv.
     ByteReader br(payload);
-    ReqTag tag = static_cast<ReqTag>(br.U8());
-    switch (tag) {
+    switch (Decode<ReqTag>(br)) {
       case ReqTag::kData:
       case ReqTag::kTtyInput:
-        payload = br.Blob();
+        payload = Decode<Bytes>(br);
         break;
       case ReqTag::kStatus:
-        rv_override = br.I32();
+        rv_override = Decode<int32_t>(br);
         has_rv_override = true;
         payload.clear();
         break;
       case ReqTag::kTime64:
-        rv_override = static_cast<int64_t>(br.U64());
+        rv_override = static_cast<int64_t>(Decode<uint64_t>(br));
         has_rv_override = true;
         payload.clear();
         break;
@@ -425,7 +424,7 @@ void Kernel::SysRead(Pcb& pcb, const SyscallRequest& req) {
       return;
     }
     SendOnChannel(pcb, *entry, MsgKind::kUser,
-                  EncodeTaggedU64(ReqTag::kFileRead, req.c));
+                  Encode(ReqTag::kFileRead, req.c));
     BlockForReply(pcb, *entry, fd, req.c);
     return;
   }
@@ -457,9 +456,9 @@ void Kernel::SysWrite(Pcb& pcb, const SyscallRequest& req, bool wants_answer) {
 
   Bytes payload;
   if (it->second.peer == PeerKind::kServerFile) {
-    payload = EncodeTaggedBlob(ReqTag::kFileWrite, req.data);
+    payload = Encode(ReqTag::kFileWrite, req.data);
   } else if (it->second.peer == PeerKind::kServerControl && fd == 2) {
-    payload = EncodeTaggedBlob(ReqTag::kTtyWrite, req.data);
+    payload = Encode(ReqTag::kTtyWrite, req.data);
   } else {
     payload = req.data;
   }
@@ -513,7 +512,7 @@ void Kernel::SysGettime(Pcb& pcb) {
     CompleteAndReady(pcb, NegErr(Errc::kNoEntry));
     return;
   }
-  SendOnChannel(pcb, *ps, MsgKind::kUser, EncodeTagged(ReqTag::kTime));
+  SendOnChannel(pcb, *ps, MsgKind::kUser, Encode(ReqTag::kTime));
   BlockForReply(pcb, *ps, 1);
 }
 
@@ -523,7 +522,7 @@ void Kernel::SysAlarm(Pcb& pcb, uint64_t delay_us) {
     CompleteAndReady(pcb, NegErr(Errc::kNoEntry));
     return;
   }
-  SendOnChannel(pcb, *ps, MsgKind::kUser, EncodeTaggedU64(ReqTag::kAlarm, delay_us));
+  SendOnChannel(pcb, *ps, MsgKind::kUser, Encode(ReqTag::kAlarm, delay_us));
   CompleteAndReady(pcb, 0);
 }
 
@@ -585,10 +584,11 @@ void Kernel::DeliverPendingSignal(Pcb& pcb) {
   pcb.reads_total++;
   sig->reads_since_sync++;
 
+  ReqTag tag;
+  Gpid target;  // redundant here
+  uint32_t signum = 0;
   ByteReader r(q.msg.body);
-  r.U8();  // tag
-  r.U64(); // target pid (redundant here)
-  uint32_t signum = r.U32();
+  DecodeInto(r, tag, target, signum);
   if (pcb.body->EnterSignal(pcb.sig_handler, signum)) {
     pcb.in_signal = true;
     if (tracer_ != nullptr) {
@@ -641,15 +641,7 @@ void Kernel::DoNativeSyscall(Pcb& pcb, const SyscallRequest& req) {
       AURAGEN_CHECK(pcb.peripheral) << "disk access from non-peripheral server";
       pcb.state = ProcState::kBlockedDevice;
       Gpid pid = pcb.pid;
-      ByteReader r(req.data);
-      const uint32_t n = r.U32();
-      DiskWriteBatch batch;
-      batch.reserve(n);
-      for (uint32_t i = 0; i < n; ++i) {
-        const BlockNum block = r.U32();
-        batch.emplace_back(block, r.Blob());
-      }
-      env_.DiskWriteMulti(pcb.pid, std::move(batch),
+      env_.DiskWriteMulti(pcb.pid, Decode<DiskWriteBatch>(req.data),
                           [this, pid](Result<void> res) {
                             Pcb* p = FindProcess(pid);
                             if (p == nullptr || p->state != ProcState::kBlockedDevice) {
@@ -728,7 +720,7 @@ void Kernel::DoNativeSyscall(Pcb& pcb, const SyscallRequest& req) {
         if (!alive_) {
           return;
         }
-        InjectLocalMessage(pid, kBindSelfChannel, EncodeTaggedU64(ReqTag::kTimerFire, cookie));
+        InjectLocalMessage(pid, kBindSelfChannel, Encode(ReqTag::kTimerFire, cookie));
       });
       CompleteAndReady(pcb, 0);
       break;
@@ -745,14 +737,9 @@ void Kernel::DoNativeSyscall(Pcb& pcb, const SyscallRequest& req) {
       CompleteAndReady(pcb, static_cast<int64_t>(found));
       break;
     }
-    case NativeSys::kWhoAmI: {
-      ByteWriter w;
-      w.U64(pcb.pid.value);
-      w.U32(id_);
-      w.U32(pcb.backup_cluster);
-      CompleteAndReady(pcb, 0, w.Take());
+    case NativeSys::kWhoAmI:
+      CompleteAndReady(pcb, 0, Encode(WhoAmIReply{pcb.pid, id_, pcb.backup_cluster}));
       break;
-    }
     case NativeSys::kAcceptChan: {
       // A server materializes its own end of a channel it just handed out
       // (file opens, tty sessions), plus the backup entry at its backup

@@ -34,6 +34,11 @@ struct SyscallRequest {
   uint64_t b = 0;
   uint64_t c = 0;
   Bytes data;
+
+  template <class F>
+  void Fields(F& f) {
+    f(num, a, b, c, data);
+  }
 };
 
 struct SyscallResult {

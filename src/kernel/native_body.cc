@@ -99,46 +99,27 @@ void NativeBody::CompleteSyscall(const SyscallResult& result) {
 }
 
 Bytes NativeBody::CaptureContext() const {
-  // Context = chunk count + the pending (side-effect-free) request, if any.
-  // The kernel only syncs a native body when it is parked in a blocking
-  // read/which or has consumed its last result, both representable here.
-  ByteWriter w;
-  Bytes blob = SerializeProgram();
-  uint32_t chunks = static_cast<uint32_t>(Chunk(blob).size());
-  w.U32(chunks);
+  // Context = chunk count, then a presence flag and the pending
+  // (side-effect-free) request, if any. The kernel only syncs a native body
+  // when it is parked in a blocking read/which or has consumed its last
+  // result, both representable here.
+  const uint32_t chunks = static_cast<uint32_t>(Chunk(SerializeProgram()).size());
   if (awaiting_completion_ && pending_.has_value()) {
     AURAGEN_CHECK(pending_->num == Sys::kRead || pending_->num == Sys::kWhich)
         << "sync with a side-effecting syscall pending: num="
         << static_cast<uint32_t>(pending_->num);
-    w.U8(1);
-    w.U32(static_cast<uint32_t>(pending_->num));
-    w.U64(pending_->a);
-    w.U64(pending_->b);
-    w.U64(pending_->c);
-    w.Blob(pending_->data);
-  } else {
-    AURAGEN_CHECK(!have_result_) << "sync with an unconsumed syscall result";
-    w.U8(0);
+    return Encode(chunks, true, *pending_);
   }
-  return w.Take();
+  AURAGEN_CHECK(!have_result_) << "sync with an unconsumed syscall result";
+  return Encode(chunks, false);
 }
 
 void NativeBody::RestoreContext(const Bytes& context) {
   ByteReader r(context);
-  expected_chunks_ = r.U32();
-  uint8_t has_pending = r.U8();
-  if (has_pending != 0) {
-    SyscallRequest req;
-    req.num = static_cast<Sys>(r.U32());
-    req.a = r.U64();
-    req.b = r.U64();
-    req.c = r.U64();
-    req.data = r.Blob();
-    pending_ = std::move(req);
-    restore_pending_request_ = true;
-  } else {
-    pending_.reset();
-    restore_pending_request_ = false;
+  DecodeInto(r, expected_chunks_, restore_pending_request_);
+  pending_.reset();
+  if (restore_pending_request_) {
+    pending_ = Decode<SyscallRequest>(r);
   }
   awaiting_completion_ = false;
   have_result_ = false;

@@ -53,13 +53,13 @@ enum class NativeSys : uint32_t {
                           // server re-arms from its own tables.
   kFindChan = 108,        // a = binding_tag, b = peer pid (0 = any) ->
                           // channel id of the matching local entry, 0 if none
-  kWhoAmI = 109,          // -> data {pid u64, cluster u32, backup u32}:
-                          // queried at startup/takeover, never from synced
-                          // state (it is environmental, §7.5)
-  kDiskWriteVec = 110,    // data = {n u32, n x {block u32, image blob}}: one
-                          // multi-block disk transaction (single seek per
-                          // mirror, all blocks land atomically). The file
-                          // server's log append + checkpoint migration.
+  kWhoAmI = 109,          // -> data = encoded WhoAmIReply: queried at
+                          // startup/takeover, never from synced state (it
+                          // is environmental, §7.5)
+  kDiskWriteVec = 110,    // data = encoded DiskWriteBatch: one multi-block
+                          // disk transaction (single seek per mirror, all
+                          // blocks land atomically). The file server's log
+                          // append + checkpoint migration.
 };
 
 inline constexpr uint32_t kFirstNativeSys = 100;
@@ -73,6 +73,18 @@ inline SyscallRequest NativeRequest(NativeSys num) {
   r.num = static_cast<Sys>(num);
   return r;
 }
+
+// The kWhoAmI reply: the caller's pid, its cluster and its backup cluster.
+struct WhoAmIReply {
+  Gpid pid;
+  ClusterId cluster = kNoCluster;
+  ClusterId backup = kNoCluster;
+
+  template <class F>
+  void Fields(F& f) {
+    f(pid, cluster, backup);
+  }
+};
 
 // The kServerSyncSend payload begins with a kernel-readable trim prefix —
 // count of (channel id, requests serviced since last server sync) pairs —

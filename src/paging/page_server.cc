@@ -10,8 +10,17 @@ namespace auragen {
 
 namespace {
 
-// ServerSync op codes (the compact log the backup applies).
-enum class PsOp : uint8_t { kWrite = 1, kSync = 2, kDrop = 3 };
+// ServerSync op codes (the compact log the backup applies): {kWrite, pid,
+// page, block} and {kSync, pid}.
+enum class PsOp : uint8_t { kWrite = 1, kSync = 2 };
+
+// Appends one op to the log.
+template <typename... T>
+void AppendOp(Bytes& log, PsOp op, const T&... v) {
+  ByteWriter w(std::move(log));
+  EncodeTo(w, op, v...);
+  log = w.Take();
+}
 
 SyscallRequest ReadAnyRequest() {
   SyscallRequest req;
@@ -66,19 +75,6 @@ void PageServerProgram::CopyAccounts(Gpid pid) {
   }
 }
 
-void PageServerProgram::DropAccounts(Gpid pid) {
-  for (auto* accounts : {&primary_, &backup_}) {
-    auto it = accounts->find(pid);
-    if (it == accounts->end()) {
-      continue;
-    }
-    for (const auto& [page, block] : it->second.pages) {
-      Release(block);
-    }
-    accounts->erase(it);
-  }
-}
-
 SyscallRequest PageServerProgram::ReadAny() {
   mode_ = Mode::kAwaitMessage;
   return ReadAnyRequest();
@@ -125,10 +121,7 @@ SyscallRequest PageServerProgram::Next(const SyscallResult& prev, bool first) {
         case MsgKind::kSync: {
           SyncRecord record = Decode<SyncRecord>(body);
           CopyAccounts(record.pid);
-          ByteWriter ops(std::move(ops_log_));
-          ops.U8(static_cast<uint8_t>(PsOp::kSync));
-          ops.U64(record.pid.value);
-          ops_log_ = ops.Take();
+          AppendOp(ops_log_, PsOp::kSync, record.pid);
           ops_since_sync_++;
           return AfterService();
         }
@@ -185,12 +178,7 @@ SyscallRequest PageServerProgram::Next(const SyscallResult& prev, bool first) {
         options_.tracer->Record(TraceEventKind::kPageStore, kNoCluster, cur_pid_.value, 0,
                                 cur_page_, cur_block_);
       }
-      ByteWriter ops(std::move(ops_log_));
-      ops.U8(static_cast<uint8_t>(PsOp::kWrite));
-      ops.U64(cur_pid_.value);
-      ops.U32(cur_page_);
-      ops.U32(cur_block_);
-      ops_log_ = ops.Take();
+      AppendOp(ops_log_, PsOp::kWrite, cur_pid_, cur_page_, cur_block_);
       ops_since_sync_++;
       return AfterService();
     }
@@ -231,39 +219,27 @@ SyscallRequest PageServerProgram::Next(const SyscallResult& prev, bool first) {
 void PageServerProgram::ApplyServerSync(ByteReader& r) {
   // Replay the primary's op log against our mirror of the tables. The ops
   // are deterministic: allocation results are recorded, not recomputed.
-  Bytes ops = r.Blob();
-  ByteReader o(ops);
-  while (!o.done()) {
-    PsOp op = static_cast<PsOp>(o.U8());
-    switch (op) {
-      case PsOp::kWrite: {
-        Gpid pid;
-        pid.value = o.U64();
-        PageNum page = o.U32();
-        BlockNum block = o.U32();
-        // Mirror the allocator: remove from free list / bump next_block_.
-        auto it = std::find(free_list_.begin(), free_list_.end(), block);
-        if (it != free_list_.end()) {
-          free_list_.erase(it);
-        } else if (block >= next_block_) {
-          next_block_ = block + 1;
-        }
-        InstallWrite(pid, page, block);
-        break;
-      }
-      case PsOp::kSync: {
-        Gpid pid;
-        pid.value = o.U64();
-        CopyAccounts(pid);
-        break;
-      }
-      case PsOp::kDrop: {
-        Gpid pid;
-        pid.value = o.U64();
-        DropAccounts(pid);
-        break;
-      }
+  const Bytes log = Decode<Bytes>(r);
+  ByteReader ops(log);
+  while (!ops.done()) {
+    PsOp op;
+    Gpid pid;
+    DecodeInto(ops, op, pid);
+    if (op == PsOp::kSync) {
+      CopyAccounts(pid);
+      continue;
     }
+    PageNum page = 0;
+    BlockNum block = 0;
+    DecodeInto(ops, page, block);
+    // Mirror the allocator: remove from free list / bump next_block_.
+    auto it = std::find(free_list_.begin(), free_list_.end(), block);
+    if (it != free_list_.end()) {
+      free_list_.erase(it);
+    } else if (block >= next_block_) {
+      next_block_ = block + 1;
+    }
+    InstallWrite(pid, page, block);
   }
 }
 

@@ -90,7 +90,6 @@ class PageServerProgram : public NativeProgram {
   void Release(BlockNum block);
   void InstallWrite(Gpid pid, PageNum page, BlockNum block);
   void CopyAccounts(Gpid pid);
-  void DropAccounts(Gpid pid);
 
   PageServerOptions options_;
   Mode mode_ = Mode::kStart;

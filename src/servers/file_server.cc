@@ -1,6 +1,7 @@
 #include "src/servers/file_server.h"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "src/base/check.h"
@@ -12,11 +13,8 @@ namespace auragen {
 
 namespace {
 
-constexpr uint32_t kSuperMagic = 0x41555246;  // "AURF"
-constexpr uint32_t kLogMagic = 0x4155524C;    // "AURL"
-
-// Commit record: {magic u32, seq u64, epoch_after u64, n u32, n x home u32}.
-// Must fit one block, which caps a batch at 122 homes.
+// A commit record's header is 24 bytes and each home takes 4, so one block
+// caps a batch at 122 homes.
 constexpr uint32_t kMaxLogBlocks = (kBlockSize - 24) / 4;
 
 SyscallRequest DiskWriteReq(BlockNum block, Bytes data) {
@@ -35,28 +33,48 @@ SyscallRequest DiskReadReq(BlockNum block) {
 // One multi-block transaction writing each image to the given block.
 SyscallRequest DiskWriteVecReq(const DiskWriteBatch& batch) {
   SyscallRequest req = NativeRequest(NativeSys::kDiskWriteVec);
-  ByteWriter w;
-  w.U32(static_cast<uint32_t>(batch.size()));
-  for (const auto& [block, image] : batch) {
-    w.U32(block);
-    w.Blob(image);
-  }
-  req.data = w.Take();
+  req.data = Encode(batch);
   return req;
 }
 
 // The same transaction redirected into the log region: image i goes to log
 // block i, regardless of its eventual home.
 SyscallRequest LogAppendReq(const DiskWriteBatch& batch) {
-  SyscallRequest req = NativeRequest(NativeSys::kDiskWriteVec);
-  ByteWriter w;
-  w.U32(static_cast<uint32_t>(batch.size()));
+  DiskWriteBatch log;
   for (size_t i = 0; i < batch.size(); ++i) {
-    w.U32(FileServerProgram::kLogDataStart + static_cast<BlockNum>(i));
-    w.Blob(batch[i].second);
+    log.emplace_back(FileServerProgram::kLogDataStart + static_cast<BlockNum>(i),
+                     batch[i].second);
   }
-  req.data = w.Take();
-  return req;
+  return DiskWriteVecReq(log);
+}
+
+// A slot holds a record if and only if it is at least a header long, carries
+// the magic and holds the whole block list; a virgin or torn slot holds none.
+// The header is the record with an empty list, whose count ends the header.
+template <typename Record>
+std::optional<Record> ParseSlot(const Bytes& raw) {
+  const size_t header = Encode(Record{}).size();
+  if (raw.size() < header || Decode<uint32_t>(raw) != Record::kMagic) {
+    return std::nullopt;
+  }
+  const uint32_t n = Decode<uint32_t>(ByteView(raw).subview(header - 4, 4));
+  if (raw.size() < header + size_t{n} * sizeof(BlockNum)) {
+    return std::nullopt;
+  }
+  return Decode<Record>(raw);
+}
+
+// Slot 1 wins only if it holds a record and slot 0 holds none or an older one
+// by `order`.
+template <typename Record>
+std::optional<Record> NewerSlot(const Bytes& slot0, const Bytes& slot1,
+                                uint64_t Record::*order) {
+  std::optional<Record> r0 = ParseSlot<Record>(slot0);
+  std::optional<Record> r1 = ParseSlot<Record>(slot1);
+  if (r1.has_value() && (!r0.has_value() || (*r1).*order > (*r0).*order)) {
+    return r1;
+  }
+  return r0;
 }
 
 }  // namespace
@@ -65,27 +83,27 @@ FileServerProgram::FileServerProgram(FileServerOptions options)
     : options_(options), cache_(options.cache_blocks) {
   AURAGEN_CHECK(options_.log_blocks >= 4 && options_.log_blocks <= kMaxLogBlocks)
       << "log_blocks out of range: " << options_.log_blocks;
-  next_block_ = kLogDataStart + options_.log_blocks;
-  AURAGEN_CHECK(next_block_ < options_.num_blocks) << "log region exceeds the disk";
+  meta_.next_block = kLogDataStart + options_.log_blocks;
+  AURAGEN_CHECK(meta_.next_block < options_.num_blocks) << "log region exceeds the disk";
 }
 
 uint64_t FileServerProgram::FileSize(const std::string& name) const {
-  auto it = names_.find(name);
-  if (it == names_.end()) {
+  auto it = meta_.names.find(name);
+  if (it == meta_.names.end()) {
     return 0;
   }
-  auto iit = inodes_.find(it->second);
-  return iit == inodes_.end() ? 0 : iit->second.size;
+  auto iit = meta_.inodes.find(it->second);
+  return iit == meta_.inodes.end() ? 0 : iit->second.size;
 }
 
 BlockNum FileServerProgram::Alloc() {
-  if (!free_list_.empty()) {
-    BlockNum b = free_list_.back();
-    free_list_.pop_back();
+  if (!meta_.free_list.empty()) {
+    BlockNum b = meta_.free_list.back();
+    meta_.free_list.pop_back();
     return b;
   }
-  AURAGEN_CHECK(next_block_ < options_.num_blocks) << "filesystem full";
-  return next_block_++;
+  AURAGEN_CHECK(meta_.next_block < options_.num_blocks) << "filesystem full";
+  return meta_.next_block++;
 }
 
 SyscallRequest FileServerProgram::ReadAny() {
@@ -102,7 +120,7 @@ SyscallRequest FileServerProgram::ReplyData(uint64_t channel, const Bytes& data)
   mode_ = Mode::kReplying;
   SyscallRequest req = NativeRequest(NativeSys::kWriteChan);
   req.b = channel;
-  req.data = EncodeTaggedBlob(ReqTag::kData, data);
+  req.data = Encode(ReqTag::kData, data);
   return req;
 }
 
@@ -110,7 +128,7 @@ SyscallRequest FileServerProgram::ReplyStatus(uint64_t channel, int32_t status) 
   mode_ = Mode::kReplying;
   SyscallRequest req = NativeRequest(NativeSys::kWriteChan);
   req.b = channel;
-  req.data = EncodeTaggedI32(ReqTag::kStatus, status);
+  req.data = Encode(ReqTag::kStatus, status);
   return req;
 }
 
@@ -148,7 +166,7 @@ SyscallRequest FileServerProgram::StartSync() {
   // Fresh metadata to shadow-allocated blocks, then the superblock image
   // that points at them. The old metadata blocks are freed in memory only
   // after the commit record is durable.
-  Bytes meta = SerializeMeta();
+  Bytes meta = Encode(meta_);
   new_meta_blocks_.clear();
   for (size_t at = 0; at < meta.size(); at += kBlockSize) {
     size_t n = std::min<size_t>(kBlockSize, meta.size() - at);
@@ -158,15 +176,11 @@ SyscallRequest FileServerProgram::StartSync() {
   }
   plan_offset_ = meta.size();
 
-  ByteWriter sb;
-  sb.U32(kSuperMagic);
-  sb.U64(epoch_ + 1);
-  sb.U32(static_cast<uint32_t>(meta.size()));
-  sb.U32(static_cast<uint32_t>(new_meta_blocks_.size()));
-  for (BlockNum b : new_meta_blocks_) {
-    sb.U32(b);
-  }
-  commit_batch_.emplace_back(static_cast<BlockNum>((epoch_ + 1) % 2), sb.Take());
+  Superblock sb;
+  sb.epoch = epoch_ + 1;
+  sb.meta_len = static_cast<uint32_t>(meta.size());
+  sb.meta_blocks = new_meta_blocks_;
+  commit_batch_.emplace_back(static_cast<BlockNum>(sb.epoch % 2), Encode(sb));
 
   AURAGEN_CHECK(commit_batch_.size() <= options_.log_blocks)
       << "commit batch overflows the log: " << commit_batch_.size();
@@ -188,61 +202,6 @@ SyscallRequest FileServerProgram::FinishCommit() {
   SyscallRequest req = NativeRequest(NativeSys::kServerSyncSend);
   req.data = Encode(ServerSyncPrefix{std::exchange(serviced_since_sync_, {})}, AsBlob{rt_});
   return req;
-}
-
-Bytes FileServerProgram::SerializeMeta() const {
-  ByteWriter w;
-  w.U32(static_cast<uint32_t>(names_.size()));
-  for (const auto& [name, inode] : names_) {
-    w.Str(name);
-    w.U32(inode);
-  }
-  w.U32(static_cast<uint32_t>(inodes_.size()));
-  for (const auto& [id, inode] : inodes_) {
-    w.U32(id);
-    w.U64(inode.size);
-    w.U32(static_cast<uint32_t>(inode.blocks.size()));
-    for (BlockNum b : inode.blocks) {
-      w.U32(b);
-    }
-  }
-  w.U32(next_inode_);
-  w.U32(next_block_);
-  w.U32(static_cast<uint32_t>(free_list_.size()));
-  for (BlockNum b : free_list_) {
-    w.U32(b);
-  }
-  return w.Take();
-}
-
-void FileServerProgram::ParseMeta(const Bytes& blob) {
-  ByteReader r(blob);
-  names_.clear();
-  inodes_.clear();
-  uint32_t nn = r.U32();
-  for (uint32_t i = 0; i < nn; ++i) {
-    std::string name = r.Str();
-    names_[name] = r.U32();
-  }
-  uint32_t ni = r.U32();
-  for (uint32_t i = 0; i < ni; ++i) {
-    uint32_t id = r.U32();
-    Inode inode;
-    inode.size = r.U64();
-    uint32_t nb = r.U32();
-    inode.blocks.resize(nb);
-    for (BlockNum& b : inode.blocks) {
-      b = r.U32();
-    }
-    inodes_[id] = std::move(inode);
-  }
-  next_inode_ = r.U32();
-  next_block_ = r.U32();
-  free_list_.clear();
-  uint32_t nf = r.U32();
-  for (uint32_t i = 0; i < nf; ++i) {
-    free_list_.push_back(r.U32());
-  }
 }
 
 // --------------------------------------------------------------- requests
@@ -304,19 +263,19 @@ SyscallRequest FileServerProgram::HandleOpen(uint64_t control_channel,
   // opener's kernel and backup cluster materialize their entries from the
   // reply itself.
   uint32_t inode_id;
-  if (auto it = names_.find(open.name); it != names_.end()) {
+  if (auto it = meta_.names.find(open.name); it != meta_.names.end()) {
     inode_id = it->second;
   } else {
-    inode_id = next_inode_++;
-    names_[open.name] = inode_id;
-    inodes_[inode_id] = Inode{};
+    inode_id = meta_.next_inode++;
+    meta_.names[open.name] = inode_id;
+    meta_.inodes[inode_id] = Inode{};
   }
   uint64_t channel = AllocChannelId();
   rt_.chans[channel] = Chan{inode_id, 0};
 
   ChanCreate accept;
   accept.channel = ChannelId{channel};
-  accept.owner = my_pid_;
+  accept.owner = self_.pid;
   accept.backup_entry = false;
   accept.peer_pid = open.opener;
   accept.peer_primary_cluster = open.opener_cluster;
@@ -328,9 +287,9 @@ SyscallRequest FileServerProgram::HandleOpen(uint64_t control_channel,
   pair_reply2_.request_cookie = open.cookie;
   pair_reply2_.status = 0;
   pair_reply2_.channel = ChannelId{channel};
-  pair_reply2_.peer_pid = my_pid_;
-  pair_reply2_.peer_primary_cluster = my_cluster_;
-  pair_reply2_.peer_backup_cluster = my_backup_;
+  pair_reply2_.peer_pid = self_.pid;
+  pair_reply2_.peer_primary_cluster = self_.cluster;
+  pair_reply2_.peer_backup_cluster = self_.backup;
   pair_reply2_.peer_kind = 2;  // kServerFile
   pair_reply2_.peer_mode = static_cast<uint8_t>(BackupMode::kHalfback);
   pair_reply2_channel_ = control_channel;
@@ -347,7 +306,7 @@ SyscallRequest FileServerProgram::HandleFileRead(uint64_t channel, uint64_t max)
     return ReplyData(channel, {});
   }
   Chan& chan = it->second;
-  const Inode& inode = inodes_[chan.inode];
+  const Inode& inode = meta_.inodes[chan.inode];
   if (chan.offset >= inode.size || max == 0) {
     return ReplyData(channel, {});  // EOF
   }
@@ -374,7 +333,7 @@ SyscallRequest FileServerProgram::HandleFileRead(uint64_t channel, uint64_t max)
 // the seek entirely), a miss yields one kDiskRead that also populates the
 // cache, plan exhaustion yields the reply.
 SyscallRequest FileServerProgram::StepRead() {
-  const Inode& inode = inodes_[cur_inode_];
+  const Inode& inode = meta_.inodes[cur_inode_];
   while (plan_idx_ < plan_blocks_.size()) {
     uint32_t fb = plan_blocks_[plan_idx_];
     Bytes chunk;
@@ -423,7 +382,7 @@ SyscallRequest FileServerProgram::HandleFileWrite(uint64_t channel, Bytes data) 
   Chan& chan = it->second;
   cur_channel_ = channel;
   cur_inode_ = chan.inode;
-  Inode& inode = inodes_[cur_inode_];
+  Inode& inode = meta_.inodes[cur_inode_];
   if (data.empty()) {
     return ReplyStatus(channel, 0);
   }
@@ -490,12 +449,41 @@ SyscallRequest FileServerProgram::HandleFileWrite(uint64_t channel, Bytes data) 
 
 // ----------------------------------------------------------------- the FSM
 
-SyscallRequest FileServerProgram::BootFromSuper() {
-  if (!boot_sb_valid_) {
+// Boot reads the four slots in block order: superblocks 0 and 1, then
+// commit records 0 and 1 (DESIGN.md §19.4).
+SyscallRequest FileServerProgram::ReadSlots() {
+  plan_idx_ = 0;
+  mode_ = Mode::kBootSlots;
+  return DiskReadReq(0);
+}
+
+SyscallRequest FileServerProgram::BootFromSlots() {
+  const std::optional<Superblock> sb =
+      NewerSlot(boot_slots_[0], boot_slots_[1], &Superblock::epoch);
+  const Superblock super = sb.value_or(Superblock{});
+  epoch_ = super.epoch;
+  meta_blocks_ = super.meta_blocks;
+  plan_offset_ = super.meta_len;
+  // Always inspect the commit records before trusting the superblock: a
+  // record with a higher epoch means a committed batch whose home migration
+  // never finished.
+  boot_cr_ = NewerSlot(boot_slots_[kCrSlot0], boot_slots_[kCrSlot1], &CommitRecord::seq)
+                 .value_or(CommitRecord{});
+  if (boot_cr_.seq != 0) {
+    rt_.log_seq = boot_cr_.seq;
+  }
+  if (!boot_cr_.homes.empty() && (!sb.has_value() || boot_cr_.epoch > epoch_)) {
+    // Committed but unchecked: replay the batch from the log. A torn append
+    // (log blocks without a newer record) never reaches here and is simply
+    // overwritten by the next commit.
+    plan_idx_ = 0;
+    commit_batch_.clear();
+    mode_ = Mode::kBootReplay;
+    return DiskReadReq(kLogDataStart);
+  }
+  if (!sb.has_value()) {
     // Virgin disk: the first commit runs through the normal WAL path —
     // formats an empty filesystem and sends the initial sync.
-    epoch_ = 0;
-    meta_blocks_.clear();
     return StartSync();
   }
   if (meta_blocks_.empty()) {
@@ -516,141 +504,28 @@ SyscallRequest FileServerProgram::Next(const SyscallResult& prev, bool first) {
       mode_ = Mode::kWho;
       return NativeRequest(NativeSys::kWhoAmI);
 
-    case Mode::kWho: {
-      ByteReader r(prev.data);
-      my_pid_.value = r.U64();
-      my_cluster_ = r.U32();
-      my_backup_ = r.U32();
-      mode_ = Mode::kBootSb0;
-      return DiskReadReq(0);
-    }
+    case Mode::kWho:
+      self_ = Decode<WhoAmIReply>(prev.data);
+      return ReadSlots();
 
-    case Mode::kBootSb0:
-      boot_sb0_ = prev.rv >= 0 ? prev.data : Bytes{};
-      mode_ = Mode::kBootSb1;
-      return DiskReadReq(1);
-
-    case Mode::kBootSb1: {
-      auto parse_sb = [](const Bytes& raw, uint64_t* epoch, uint32_t* meta_len,
-                         std::vector<BlockNum>* blocks) {
-        if (raw.size() < 20) {
-          return false;
-        }
-        ByteReader r(raw);
-        if (r.U32() != kSuperMagic) {
-          return false;
-        }
-        *epoch = r.U64();
-        *meta_len = r.U32();
-        uint32_t n = r.U32();
-        blocks->clear();
-        for (uint32_t i = 0; i < n; ++i) {
-          blocks->push_back(r.U32());
-        }
-        return true;
-      };
-      uint64_t e0 = 0;
-      uint64_t e1 = 0;
-      uint32_t len0 = 0;
-      uint32_t len1 = 0;
-      std::vector<BlockNum> b0;
-      std::vector<BlockNum> b1;
-      bool ok0 = parse_sb(boot_sb0_, &e0, &len0, &b0);
-      bool ok1 = prev.rv >= 0 && parse_sb(prev.data, &e1, &len1, &b1);
-      boot_sb_valid_ = ok0 || ok1;
-      if (ok1 && (!ok0 || e1 > e0)) {
-        epoch_ = e1;
-        meta_blocks_ = b1;
-        plan_offset_ = len1;
-      } else if (ok0) {
-        epoch_ = e0;
-        meta_blocks_ = b0;
-        plan_offset_ = len0;
-      } else {
-        epoch_ = 0;
-        meta_blocks_.clear();
+    case Mode::kBootSlots:
+      boot_slots_[plan_idx_] = prev.rv >= 0 ? prev.data : Bytes{};
+      if (++plan_idx_ < boot_slots_.size()) {
+        return DiskReadReq(static_cast<BlockNum>(plan_idx_));
       }
-      // Always inspect the commit-record slots before trusting the
-      // superblock: a record with a higher epoch means a committed batch
-      // whose home migration never finished.
-      mode_ = Mode::kBootCr0;
-      return DiskReadReq(kCrSlot0);
-    }
-
-    case Mode::kBootCr0:
-      boot_cr0_ = prev.rv >= 0 ? prev.data : Bytes{};
-      mode_ = Mode::kBootCr1;
-      return DiskReadReq(kCrSlot1);
-
-    case Mode::kBootCr1: {
-      auto parse_cr = [](const Bytes& raw, uint64_t* seq, uint64_t* epoch,
-                         std::vector<BlockNum>* homes) {
-        if (raw.size() < 24) {
-          return false;
-        }
-        ByteReader r(raw);
-        if (r.U32() != kLogMagic) {
-          return false;
-        }
-        *seq = r.U64();
-        *epoch = r.U64();
-        uint32_t n = r.U32();
-        if (raw.size() < 24 + size_t{n} * 4) {
-          return false;
-        }
-        homes->clear();
-        for (uint32_t i = 0; i < n; ++i) {
-          homes->push_back(r.U32());
-        }
-        return true;
-      };
-      uint64_t s0 = 0;
-      uint64_t s1 = 0;
-      uint64_t ce0 = 0;
-      uint64_t ce1 = 0;
-      std::vector<BlockNum> h0;
-      std::vector<BlockNum> h1;
-      bool ok0 = parse_cr(boot_cr0_, &s0, &ce0, &h0);
-      bool ok1 = prev.rv >= 0 && parse_cr(prev.data, &s1, &ce1, &h1);
-      boot_cr_seq_ = 0;
-      boot_cr_epoch_ = 0;
-      boot_cr_homes_.clear();
-      if (ok1 && (!ok0 || s1 > s0)) {
-        boot_cr_seq_ = s1;
-        boot_cr_epoch_ = ce1;
-        boot_cr_homes_ = std::move(h1);
-      } else if (ok0) {
-        boot_cr_seq_ = s0;
-        boot_cr_epoch_ = ce0;
-        boot_cr_homes_ = std::move(h0);
-      }
-      if (boot_cr_seq_ != 0) {
-        rt_.log_seq = boot_cr_seq_;
-      }
-      if (!boot_cr_homes_.empty() &&
-          (!boot_sb_valid_ || boot_cr_epoch_ > epoch_)) {
-        // Committed but unchecked: replay the batch from the log. A torn
-        // append (log blocks without a newer record) never reaches here and
-        // is simply overwritten by the next commit.
-        plan_idx_ = 0;
-        commit_batch_.clear();
-        mode_ = Mode::kBootReplay;
-        return DiskReadReq(kLogDataStart);
-      }
-      return BootFromSuper();
-    }
+      return BootFromSlots();
 
     case Mode::kBootReplay: {
       Bytes img = prev.rv >= 0 ? prev.data : Bytes{};
       img.resize(kBlockSize, 0);
-      commit_batch_.emplace_back(boot_cr_homes_[plan_idx_], std::move(img));
+      commit_batch_.emplace_back(boot_cr_.homes[plan_idx_], std::move(img));
       ++plan_idx_;
-      if (plan_idx_ < boot_cr_homes_.size()) {
+      if (plan_idx_ < boot_cr_.homes.size()) {
         return DiskReadReq(kLogDataStart + static_cast<BlockNum>(plan_idx_));
       }
       if (options_.tracer != nullptr) {
-        options_.tracer->Record(TraceEventKind::kFsLogCommit, my_cluster_, my_pid_.value,
-                                1, boot_cr_seq_, commit_batch_.size());
+        options_.tracer->Record(TraceEventKind::kFsLogCommit, self_.cluster, self_.pid.value,
+                                1, boot_cr_.seq, commit_batch_.size());
       }
       mode_ = Mode::kBootReplayWrite;
       return DiskWriteVecReq(commit_batch_);
@@ -662,8 +537,7 @@ SyscallRequest FileServerProgram::Next(const SyscallResult& prev, bool first) {
       // during replay just replays again, and a completed replay parses
       // clean with no second pass.
       commit_batch_.clear();
-      mode_ = Mode::kBootSb0;
-      return DiskReadReq(0);
+      return ReadSlots();
 
     case Mode::kBootMeta: {
       Bytes chunk = prev.rv >= 0 ? prev.data : Bytes(kBlockSize, 0);
@@ -674,7 +548,7 @@ SyscallRequest FileServerProgram::Next(const SyscallResult& prev, bool first) {
         return DiskReadReq(meta_blocks_[plan_idx_]);
       }
       plan_buffer_.resize(plan_offset_);
-      ParseMeta(plan_buffer_);
+      meta_ = Decode<Meta>(plan_buffer_);
       plan_buffer_.clear();
       return ReadAny();
     }
@@ -694,21 +568,13 @@ SyscallRequest FileServerProgram::Next(const SyscallResult& prev, bool first) {
       serviced_since_sync_[channel]++;
       ops_since_sync_++;
       ByteReader b(body);
-      ReqTag tag = static_cast<ReqTag>(b.U8());
-      switch (tag) {
+      switch (Decode<ReqTag>(b)) {
         case ReqTag::kOpen:
           return HandleOpen(channel, Decode<OpenRequest>(b));
         case ReqTag::kFileRead:
-          return HandleFileRead(channel, b.U64());
+          return HandleFileRead(channel, Decode<uint64_t>(b));
         case ReqTag::kFileWrite:
-          return HandleFileWrite(channel, b.Blob());
-        case ReqTag::kFileSeek: {
-          uint64_t offset = b.U64();
-          if (auto it = rt_.chans.find(channel); it != rt_.chans.end()) {
-            it->second.offset = offset;
-          }
-          return ReplyStatus(channel, 0);
-        }
+          return HandleFileWrite(channel, Decode<Bytes>(b));
         default:
           return AfterService();
       }
@@ -730,7 +596,7 @@ SyscallRequest FileServerProgram::Next(const SyscallResult& prev, bool first) {
       // them so an extension can never surface stale disk data.
       Bytes raw = prev.rv >= 0 ? prev.data : Bytes{};
       raw.resize(kBlockSize, 0);
-      const Inode& inode = inodes_[cur_inode_];
+      const Inode& inode = meta_.inodes[cur_inode_];
       uint64_t eof_cut = inode.size % kBlockSize;
       if (eof_cut != 0 && inode.size / kBlockSize < inode.blocks.size() &&
           inode.blocks[inode.size / kBlockSize] == cur_read_block_) {
@@ -752,17 +618,14 @@ SyscallRequest FileServerProgram::Next(const SyscallResult& prev, bool first) {
     case Mode::kLogAppend: {
       // Batch is in the log region; one commit-record write (alternating
       // slots, higher sequence wins) is the atomic commit point.
-      ByteWriter cr;
-      cr.U32(kLogMagic);
-      cr.U64(rt_.log_seq + 1);
-      cr.U64(epoch_ + 1);
-      cr.U32(static_cast<uint32_t>(commit_batch_.size()));
+      CommitRecord record;
+      record.seq = rt_.log_seq + 1;
+      record.epoch = epoch_ + 1;
       for (const auto& [home, image] : commit_batch_) {
-        cr.U32(home);
+        record.homes.push_back(home);
       }
       mode_ = Mode::kLogCommit;
-      return DiskWriteReq(kCrSlot0 + static_cast<BlockNum>((rt_.log_seq + 1) % 2),
-                          cr.Take());
+      return DiskWriteReq(kCrSlot0 + static_cast<BlockNum>(record.seq % 2), Encode(record));
     }
 
     case Mode::kLogCommit: {
@@ -774,13 +637,13 @@ SyscallRequest FileServerProgram::Next(const SyscallResult& prev, bool first) {
       epoch_ += 1;
       commits_++;
       if (options_.tracer != nullptr) {
-        options_.tracer->Record(TraceEventKind::kFsCommit, my_cluster_, my_pid_.value, 0,
+        options_.tracer->Record(TraceEventKind::kFsCommit, self_.cluster, self_.pid.value, 0,
                                 epoch_, commits_);
-        options_.tracer->Record(TraceEventKind::kFsLogCommit, my_cluster_, my_pid_.value,
+        options_.tracer->Record(TraceEventKind::kFsLogCommit, self_.cluster, self_.pid.value,
                                 0, rt_.log_seq, commit_batch_.size());
       }
       for (BlockNum b : meta_blocks_) {
-        free_list_.push_back(b);
+        meta_.free_list.push_back(b);
       }
       meta_blocks_ = new_meta_blocks_;
       new_meta_blocks_.clear();

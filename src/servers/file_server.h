@@ -41,6 +41,7 @@
 #ifndef AURAGEN_SRC_SERVERS_FILE_SERVER_H_
 #define AURAGEN_SRC_SERVERS_FILE_SERVER_H_
 
+#include <array>
 #include <map>
 #include <string>
 #include <vector>
@@ -78,7 +79,7 @@ class FileServerProgram : public NativeProgram {
   uint64_t StepWork() const override { return 40; }
 
   // Test access.
-  bool HasFile(const std::string& name) const { return names_.count(name) != 0; }
+  bool HasFile(const std::string& name) const { return meta_.names.count(name) != 0; }
   uint64_t FileSize(const std::string& name) const;
   uint64_t commits() const { return commits_; }
   uint64_t log_seq() const { return rt_.log_seq; }
@@ -94,10 +95,7 @@ class FileServerProgram : public NativeProgram {
   enum class Mode : uint8_t {
     kStart,
     kWho,           // kWhoAmI pending
-    kBootSb0,       // superblock 0 read pending
-    kBootSb1,       // superblock 1 read pending
-    kBootCr0,       // commit-record slot 0 read pending
-    kBootCr1,       // commit-record slot 1 read pending
+    kBootSlots,     // superblock / commit-record slot read pending
     kBootReplay,    // log data block read pending (recovery replay)
     kBootReplayWrite,  // replayed batch migrating home (kDiskWriteVec)
     kBootMeta,      // metadata block chain read pending
@@ -114,10 +112,58 @@ class FileServerProgram : public NativeProgram {
     kSendingSync,   // commit step 4: ServerSync message
   };
 
+  // --- the disk records (DESIGN.md §19.2) ---
   struct Inode {
     uint64_t size = 0;
     std::vector<BlockNum> blocks;
+
+    template <class F>
+    void Fields(F& f) {
+      f(size, blocks);
+    }
   };
+  // The committed filesystem: the metadata image each commit writes to
+  // fresh blocks, chunked, and the superblock points at.
+  struct Meta {
+    std::map<std::string, uint32_t> names;
+    std::map<uint32_t, Inode> inodes;
+    uint32_t next_inode = 1;
+    BlockNum next_block = 0;  // first never-allocated block, past the log region
+    std::vector<BlockNum> free_list;
+
+    template <class F>
+    void Fields(F& f) {
+      f(names, inodes, next_inode, next_block, free_list);
+    }
+  };
+  // Superblock slots 0 and 1 alternate by epoch; the newer valid one wins.
+  struct Superblock {
+    static constexpr uint32_t kMagic = 0x41555246;  // "AURF"
+    uint32_t magic = kMagic;
+    uint64_t epoch = 0;
+    uint32_t meta_len = 0;  // bytes of the metadata image
+    std::vector<BlockNum> meta_blocks;
+
+    template <class F>
+    void Fields(F& f) {
+      f(magic, epoch, meta_len, meta_blocks);
+    }
+  };
+  // Commit-record slots 2 and 3 alternate by sequence. Log block 4+i holds
+  // the image whose home is homes[i]; the record must fit one block.
+  struct CommitRecord {
+    static constexpr uint32_t kMagic = 0x4155524C;  // "AURL"
+    uint32_t magic = kMagic;
+    uint64_t seq = 0;
+    uint64_t epoch = 0;  // the epoch the batch commits
+    std::vector<BlockNum> homes;
+
+    template <class F>
+    void Fields(F& f) {
+      f(magic, seq, epoch, homes);
+    }
+  };
+
   struct Chan {
     uint32_t inode = 0;
     uint64_t offset = 0;
@@ -165,29 +211,22 @@ class FileServerProgram : public NativeProgram {
   SyscallRequest StepRead();
   SyscallRequest ReplyData(uint64_t channel, const Bytes& data);
   SyscallRequest ReplyStatus(uint64_t channel, int32_t status);
-  SyscallRequest BootFromSuper();
+  SyscallRequest ReadSlots();
+  SyscallRequest BootFromSlots();
   SyscallRequest SendOpenReply(uint64_t control_channel, const OpenReplyBody& reply,
                                Mode next_mode);
 
   BlockNum Alloc();
-  Bytes SerializeMeta() const;
-  void ParseMeta(const Bytes& blob);
   uint64_t AllocChannelId() { return (0xffffull << 48) | rt_.next_chan_counter++; }
 
   FileServerOptions options_;
   Mode mode_ = Mode::kStart;
 
   // Identity (environmental; learned via kWhoAmI at every start, §7.5).
-  Gpid my_pid_;
-  ClusterId my_cluster_ = kNoCluster;
-  ClusterId my_backup_ = kNoCluster;
+  WhoAmIReply self_;
 
   // Committed filesystem state (serialized to disk at each sync).
-  std::map<std::string, uint32_t> names_;
-  std::map<uint32_t, Inode> inodes_;
-  uint32_t next_inode_ = 1;
-  BlockNum next_block_;  // first data block, past the log region
-  std::vector<BlockNum> free_list_;
+  Meta meta_;
   uint64_t epoch_ = 0;
   std::vector<BlockNum> meta_blocks_;  // current committed metadata location
 
@@ -209,13 +248,10 @@ class FileServerProgram : public NativeProgram {
   std::vector<BlockNum> new_meta_blocks_;
   // The in-flight commit batch: images (in log order) and home locations.
   DiskWriteBatch commit_batch_;
-  Bytes boot_sb0_;
-  Bytes boot_cr0_;
-  // Parsed winning commit record during boot.
-  uint64_t boot_cr_seq_ = 0;
-  uint64_t boot_cr_epoch_ = 0;
-  std::vector<BlockNum> boot_cr_homes_;
-  bool boot_sb_valid_ = false;
+  // Boot: the raw slots, indexed by block (superblocks 0-1, commit records
+  // 2-3), then the winning commit record.
+  std::array<Bytes, 4> boot_slots_;
+  CommitRecord boot_cr_;
   OpenReplyBody pair_reply2_;
   uint64_t pair_reply2_channel_ = 0;
 

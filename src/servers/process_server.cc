@@ -61,10 +61,10 @@ SyscallRequest ProcessServerProgram::Next(const SyscallResult& prev, bool first)
         return ReadAny();
       }
       ByteReader b(body);
-      ReqTag req_tag = static_cast<ReqTag>(b.U8());
+      const ReqTag req_tag = Decode<ReqTag>(b);
 
       if (tag == kBindSelfChannel && req_tag == ReqTag::kTimerFire) {
-        uint64_t cookie = b.U64();
+        const uint64_t cookie = Decode<uint64_t>(b);
         auto it = alarms_.find(cookie);
         if (it == alarms_.end()) {
           return ReadAny();  // cancelled or already fired pre-takeover
@@ -81,22 +81,22 @@ SyscallRequest ProcessServerProgram::Next(const SyscallResult& prev, bool first)
           return NativeRequest(NativeSys::kSimTime);
         }
         case ReqTag::kAlarm: {
-          pending_alarm_delay_ = b.U64();
+          DecodeInto(b, pending_alarm_delay_);
           mode_ = Mode::kAlarmNow;
           return NativeRequest(NativeSys::kSimTime);
         }
         case ReqTag::kSignalReq: {
           Gpid target;
-          target.value = b.U64();
-          uint32_t signum = b.U32();
+          uint32_t signum = 0;
+          DecodeInto(b, target, signum);
           return StartSignal(target, signum);
         }
         case ReqTag::kPsQuery: {
           mode_ = Mode::kReplying;
           SyscallRequest req = NativeRequest(NativeSys::kWriteChan);
           req.b = cur_channel_;
-          req.data = EncodeTaggedBlob(
-              ReqTag::kData, Encode(times_served_, alarms_fired_, uint64_t{alarms_.size()}));
+          req.data = Encode(ReqTag::kData,
+                            Encode(times_served_, alarms_fired_, uint64_t{alarms_.size()}));
           return req;
         }
         default:
@@ -109,7 +109,7 @@ SyscallRequest ProcessServerProgram::Next(const SyscallResult& prev, bool first)
       mode_ = Mode::kReplying;
       SyscallRequest req = NativeRequest(NativeSys::kWriteChan);
       req.b = cur_channel_;
-      req.data = EncodeTaggedU64(ReqTag::kTime64, static_cast<uint64_t>(prev.rv));
+      req.data = Encode(ReqTag::kTime64, static_cast<uint64_t>(prev.rv));
       return req;
     }
 
@@ -140,7 +140,7 @@ SyscallRequest ProcessServerProgram::Next(const SyscallResult& prev, bool first)
       SyscallRequest req = NativeRequest(NativeSys::kWriteChan);
       req.a = 2;  // MsgKind::kSignal
       req.b = chan;
-      req.data = EncodeSignalReq(sig_target_, sig_num_);
+      req.data = Encode(ReqTag::kSignalReq, sig_target_, sig_num_);
       return req;
     }
 

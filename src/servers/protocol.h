@@ -20,34 +20,35 @@
 
 namespace auragen {
 
+// A request or reply body is its tag followed by the fields listed here,
+// written as Encode(ReqTag::kX, v...) and read back with DecodeInto: each
+// field takes its declared width (src/base/codec.h).
 enum class ReqTag : uint8_t {
   // --- to the file server (fd 0 control channel / file channels) ---
-  kOpen = 1,       // {cookie, name, opener pid, opener cluster, opener backup,
-                   //  opener mode}
-  kFileRead = 2,   // on a file channel: {max_bytes}
-  kFileWrite = 3,  // on a file channel: {payload}; reply kStatus
-  kFileSeek = 4,   // on a file channel: {offset}
-  kChClose = 5,    // close notification a server consumes from its queue
+  kOpen = 1,       // {OpenRequest}
+  kFileRead = 2,   // on a file channel: {u64 max_bytes}; reply kData
+  kFileWrite = 3,  // on a file channel: {Bytes payload}; reply kStatus
 
   // --- to the process server (fd 1 control channel) ---
   kTime = 16,      // reply kTime64
-  kAlarm = 17,     // {delay_us}; no reply; SIGALRM later (§7.5.2)
-  kSignalReq = 18, // server->proc-server: {target pid, signum}
+  kAlarm = 17,     // {u64 delay_us}; no reply; SIGALRM later (§7.5.2)
+  kSignalReq = 18, // {Gpid target, u32 signum}: server->proc-server, and
+                   // the kSignal body the proc server sends the target
   kPsQuery = 19,   // status query; reply kData (diagnostics)
 
   // --- to/from the tty server (fd 2 channel) ---
-  kTtyWrite = 32,  // {payload}: emit to the terminal
-  kTtyInput = 33,  // pushed by the server: one input line
+  kTtyWrite = 32,  // {Bytes payload}: emit to the terminal
+  kTtyInput = 33,  // {Bytes line}: pushed by the server
   kTtyBind = 34,   // kernel-sent on channel creation: binds line to session
 
   // --- generic replies ---
-  kData = 64,      // {payload}
+  kData = 64,      // {Bytes payload}
   kStatus = 65,    // {i32}
   kTime64 = 66,    // {u64 microseconds}
 
   // --- local device/self traffic (never crosses the bus) ---
   kTimerFire = 80, // {u64 cookie} on the self channel (kSetTimer)
-  kDevInput = 81,  // {u32 line, blob text}: terminal hardware input
+  kDevInput = 81,  // {DevInput}: terminal hardware input
 };
 
 // kOpen body, after the tag: Encode(ReqTag::kOpen, open).
@@ -88,42 +89,6 @@ struct TtyEmitRecord {
     f(line, seq, text);
   }
 };
-
-inline Bytes EncodeTagged(ReqTag tag) {
-  ByteWriter w;
-  w.U8(static_cast<uint8_t>(tag));
-  return w.Take();
-}
-
-inline Bytes EncodeTaggedU64(ReqTag tag, uint64_t v) {
-  ByteWriter w;
-  w.U8(static_cast<uint8_t>(tag));
-  w.U64(v);
-  return w.Take();
-}
-
-inline Bytes EncodeTaggedI32(ReqTag tag, int32_t v) {
-  ByteWriter w;
-  w.U8(static_cast<uint8_t>(tag));
-  w.I32(v);
-  return w.Take();
-}
-
-inline Bytes EncodeTaggedBlob(ReqTag tag, const Bytes& payload) {
-  ByteWriter w;
-  w.U8(static_cast<uint8_t>(tag));
-  w.Blob(payload);
-  return w.Take();
-}
-
-// {target pid, signum} (kSignalReq / kAlarm bookkeeping at the proc server).
-inline Bytes EncodeSignalReq(Gpid target, uint32_t signum) {
-  ByteWriter w;
-  w.U8(static_cast<uint8_t>(ReqTag::kSignalReq));
-  w.U64(target.value);
-  w.U32(signum);
-  return w.Take();
-}
 
 // Well-known signal numbers (§7.5.2).
 inline constexpr uint32_t kSigAlrm = 14;

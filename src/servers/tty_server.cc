@@ -42,7 +42,7 @@ SyscallRequest TtyServerProgram::Next(const SyscallResult& prev, bool first) {
         return ReadAny();
       }
       ByteReader b(body);
-      ReqTag req_tag = static_cast<ReqTag>(b.U8());
+      const ReqTag req_tag = Decode<ReqTag>(b);
 
       if (tag == kBindSelfChannel && req_tag == ReqTag::kDevInput) {
         DevInput input = Decode<DevInput>(b);
@@ -64,7 +64,7 @@ SyscallRequest TtyServerProgram::Next(const SyscallResult& prev, bool first) {
         SyscallRequest req = NativeRequest(NativeSys::kWriteChan);
         req.b = pending_channel_;
         req.c = 1;  // device-driven: uncounted (rollforward cannot replay it)
-        req.data = EncodeTaggedBlob(ReqTag::kTtyInput, pending_input_);
+        req.data = Encode(ReqTag::kTtyInput, pending_input_);
         return req;
       }
 
@@ -90,7 +90,7 @@ SyscallRequest TtyServerProgram::Next(const SyscallResult& prev, bool first) {
         ops_since_sync_++;
         mode_ = Mode::kEmitting;
         SyscallRequest req = NativeRequest(NativeSys::kTtyEmit);
-        req.data = Encode(TtyEmitRecord{line, ++session.out_seq, b.Blob()});
+        req.data = Encode(TtyEmitRecord{line, ++session.out_seq, Decode<Bytes>(b)});
         return req;
       }
 
@@ -115,7 +115,7 @@ SyscallRequest TtyServerProgram::Next(const SyscallResult& prev, bool first) {
       SyscallRequest req = NativeRequest(NativeSys::kWriteChan);
       req.b = chan;
       req.c = 1;  // device-driven: uncounted
-      req.data = EncodeSignalReq(sig_target_, kSigInt);
+      req.data = Encode(ReqTag::kSignalReq, sig_target_, kSigInt);
       return req;
     }
 

@@ -120,13 +120,13 @@ struct JournalFixture {
   }
 
   void Write(uint64_t chan, const Bytes& data) {
-    h.Push(chan, kUser, 0, MsgKind::kUser, EncodeTaggedBlob(ReqTag::kFileWrite, data));
+    h.Push(chan, kUser, 0, MsgKind::kUser, Encode(ReqTag::kFileWrite, data));
     h.Deliver();
   }
 
   Bytes Read(uint64_t chan, uint64_t max) {
     size_t before = h.sent.size();
-    h.Push(chan, kUser, 0, MsgKind::kUser, EncodeTaggedU64(ReqTag::kFileRead, max));
+    h.Push(chan, kUser, 0, MsgKind::kUser, Encode(ReqTag::kFileRead, uint64_t{max}));
     h.Deliver();
     AURAGEN_CHECK(h.sent.size() == before + 1);
     ByteReader r(h.sent.back().payload);
@@ -167,7 +167,7 @@ TEST(FileServerJournal, ColdReadMissesOnceThenHits) {
   // First read faults the blocks in; the second is free.
   auto read = [&](uint64_t rc, uint64_t max) {
     size_t before = h2.sent.size();
-    h2.Push(rc, kUser, 0, MsgKind::kUser, EncodeTaggedU64(ReqTag::kFileRead, max));
+    h2.Push(rc, kUser, 0, MsgKind::kUser, Encode(ReqTag::kFileRead, uint64_t{max}));
     h2.Deliver();
     AURAGEN_CHECK(h2.sent.size() == before + 1);
     ByteReader r(h2.sent.back().payload);
@@ -203,7 +203,7 @@ TEST(FileServerJournal, GroupCommitBatchesAllDirtyBlocksIntoOneTransaction) {
   for (int i = 0; i < 6; ++i) {
     f.Write(chan, Bytes(kBlockSize, static_cast<uint8_t>('a' + i)));
   }
-  uint64_t batches_before = f.h.disk_write_batches;
+  size_t batches_before = f.h.disk_write_vecs.size();
   uint64_t commits_before = f.fs.commits();
   // Land exactly on the trigger: open + 6 writes + 9 tiny writes = 16 ops,
   // so the commit fires on the last op and nothing re-dirties afterwards.
@@ -213,7 +213,7 @@ TEST(FileServerJournal, GroupCommitBatchesAllDirtyBlocksIntoOneTransaction) {
   ASSERT_EQ(f.fs.commits(), commits_before + 1);
   // One commit = exactly two vectored transactions (log append + home
   // migration), however many blocks were dirty.
-  EXPECT_EQ(f.h.disk_write_batches, batches_before + 2);
+  EXPECT_EQ(f.h.disk_write_vecs.size(), batches_before + 2);
   EXPECT_EQ(f.fs.cache().dirty_count(), 0u);  // checkpoint cleaned the cache
 }
 
@@ -309,7 +309,7 @@ TEST(FileServerJournal, BootDiscardsTornAppend) {
   AURAGEN_CHECK(h2.sent.size() == before + 1);
   uint64_t rc = Decode<OpenReplyBody>(h2.sent.back().payload).channel.value;
   size_t before2 = h2.sent.size();
-  h2.Push(rc, kUser, 0, MsgKind::kUser, EncodeTaggedU64(ReqTag::kFileRead, 1024));
+  h2.Push(rc, kUser, 0, MsgKind::kUser, Encode(ReqTag::kFileRead, uint64_t{1024}));
   h2.Deliver();
   AURAGEN_CHECK(h2.sent.size() == before2 + 1);
   ByteReader r2(h2.sent.back().payload);
@@ -348,7 +348,7 @@ TEST(FileServerJournal, WriteThenRebootMatchesOriginal) {
   AURAGEN_CHECK(h2.sent.size() == before + 1);
   uint64_t rc = Decode<OpenReplyBody>(h2.sent.back().payload).channel.value;
   size_t before2 = h2.sent.size();
-  h2.Push(rc, kUser, 0, MsgKind::kUser, EncodeTaggedU64(ReqTag::kFileRead, 4096));
+  h2.Push(rc, kUser, 0, MsgKind::kUser, Encode(ReqTag::kFileRead, uint64_t{4096}));
   h2.Deliver();
   AURAGEN_CHECK(h2.sent.size() == before2 + 1);
   ByteReader r2(h2.sent.back().payload);

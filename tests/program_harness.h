@@ -9,9 +9,11 @@
 #include <deque>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/wire.h"
+#include "src/disk/disk.h"
 #include "src/kernel/native_body.h"
 #include "src/servers/protocol.h"
 
@@ -97,7 +99,7 @@ class ProgramHarness {
   std::map<BlockNum, Bytes> disk;
   uint64_t disk_reads = 0;
   uint64_t disk_writes = 0;
-  uint64_t disk_write_batches = 0;  // kDiskWriteVec transactions
+  std::vector<Bytes> disk_write_vecs;  // kDiskWriteVec payloads, one per transaction
 
   // --- canned environment ---
   Gpid who_pid = Gpid::Make(31, 99);
@@ -126,19 +128,15 @@ class ProgramHarness {
         disk[static_cast<BlockNum>(req.a)] = req.data;
         last_.rv = 0;
         break;
-      case NativeSys::kDiskWriteVec: {
+      case NativeSys::kDiskWriteVec:
         // One multi-block transaction; all blocks land atomically.
-        ++disk_write_batches;
-        ByteReader r(req.data);
-        uint32_t n = r.U32();
-        for (uint32_t i = 0; i < n; ++i) {
-          BlockNum block = r.U32();
-          disk[block] = r.Blob();
+        disk_write_vecs.push_back(req.data);
+        for (auto& [block, image] : Decode<DiskWriteBatch>(req.data)) {
+          disk[block] = std::move(image);
           ++disk_writes;
         }
         last_.rv = 0;
         break;
-      }
       case NativeSys::kServerSyncSend:
         server_syncs.push_back(req.data);
         last_.rv = 0;
@@ -167,15 +165,10 @@ class ProgramHarness {
         last_.rv = it != find_chan.end() ? static_cast<int64_t>(it->second) : 0;
         break;
       }
-      case NativeSys::kWhoAmI: {
-        ByteWriter w;
-        w.U64(who_pid.value);
-        w.U32(who_cluster);
-        w.U32(who_backup);
-        last_.data = w.Take();
+      case NativeSys::kWhoAmI:
+        last_.data = Encode(WhoAmIReply{who_pid, who_cluster, who_backup});
         last_.rv = 0;
         break;
-      }
       default:
         AURAGEN_PANIC("harness: unsupported syscall");
     }

@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <memory>
+#include <vector>
+
 #include "src/paging/page_server.h"
 #include "src/servers/file_server.h"
 #include "src/servers/process_server.h"
@@ -167,13 +171,13 @@ struct FsFixture {
   }
 
   void Write(uint64_t chan, const Bytes& data) {
-    h.Push(chan, kUser, 0, MsgKind::kUser, EncodeTaggedBlob(ReqTag::kFileWrite, data));
+    h.Push(chan, kUser, 0, MsgKind::kUser, Encode(ReqTag::kFileWrite, data));
     h.Deliver();
   }
 
   Bytes Read(uint64_t chan, uint64_t max) {
     size_t before = h.sent.size();
-    h.Push(chan, kUser, 0, MsgKind::kUser, EncodeTaggedU64(ReqTag::kFileRead, max));
+    h.Push(chan, kUser, 0, MsgKind::kUser, Encode(ReqTag::kFileRead, uint64_t{max}));
     h.Deliver();
     AURAGEN_CHECK(h.sent.size() == before + 1);
     ByteReader r(h.sent.back().payload);
@@ -280,7 +284,7 @@ TEST(FileServer, ShadowCommitPreservesOldStateUntilSuperblockFlips) {
   h.Deliver();
   OpenReplyBody reply = Decode<OpenReplyBody>(h.sent.back().payload);
   h.Push(reply.channel.value, kUser, 0, MsgKind::kUser,
-         EncodeTaggedBlob(ReqTag::kFileWrite, Bytes(10, 7)));
+         Encode(ReqTag::kFileWrite, Bytes(10, 7)));
   h.Deliver();
   EXPECT_GE(fs.commits(), 2u);  // format + at least one shadow commit
   ASSERT_GE(h.server_syncs.size(), 1u);
@@ -300,12 +304,46 @@ TEST(FileServer, ShadowCommitPreservesOldStateUntilSuperblockFlips) {
   EXPECT_EQ(recovered.FileSize("f"), 10u);
 }
 
+// A slot holds a record only if it carries the magic and the whole block
+// list. A torn slot 1 that claims to be newer must lose to slot 0, for the
+// superblock and for the commit record alike.
+TEST(FileServer, BootIgnoresSlotsWithShortBlockLists) {
+  FileServerOptions options;
+  options.sync_every_ops = 2;
+  FileServerProgram fs(options);
+  ProgramHarness h(fs);
+  h.Drain();  // format: epoch 1 and log sequence 1, both in slot 1
+  h.Push(kChan, kUser, kBindFsChannel, MsgKind::kUser, OpenMsg("f"));
+  h.Deliver();
+  uint64_t chan = Decode<OpenReplyBody>(h.sent.back().payload).channel.value;
+  h.Push(chan, kUser, 0, MsgKind::kUser, Encode(ReqTag::kFileWrite, Bytes(10, 7)));
+  h.Deliver();  // epoch 2 and sequence 2, both in slot 0
+  ASSERT_EQ(fs.commits(), 2u);
+
+  // Superblock slot 1 (block 1) and commit-record slot 1 (block 3) claim
+  // epoch and sequence 9 and a hundred blocks, but hold only one.
+  const std::vector<BlockNum> hundred(100, 200);
+  h.disk[1] = Encode(uint32_t{0x41555246}, uint64_t{9}, uint32_t{0}, hundred);
+  h.disk[1].resize(24);
+  h.disk[3] = Encode(uint32_t{0x4155524C}, uint64_t{9}, uint64_t{9}, hundred);
+  h.disk[3].resize(28);
+
+  FileServerProgram rebooted(options);
+  ProgramHarness h2(rebooted);
+  h2.disk = h.disk;
+  h2.Drain();
+  EXPECT_EQ(rebooted.FileSize("f"), 10u);
+  EXPECT_EQ(rebooted.log_seq(), 2u);
+  EXPECT_TRUE(h2.disk_write_vecs.empty());  // no replay
+  EXPECT_EQ(h2.disk, h.disk);
+}
+
 // -------------------------------------------------------------- tty server
 
 TEST(TtyServer, BindThenInputForwardsToSession) {
   TtyServerProgram tty(TtyServerOptions{});
   ProgramHarness h(tty);
-  h.Push(kChan, kUser, kBindTtyLineBase + 0, MsgKind::kUser, EncodeTagged(ReqTag::kTtyBind));
+  h.Push(kChan, kUser, kBindTtyLineBase + 0, MsgKind::kUser, Encode(ReqTag::kTtyBind));
   h.Drain();
   ByteWriter in;
   in.U8(static_cast<uint8_t>(ReqTag::kDevInput));
@@ -325,7 +363,7 @@ TEST(TtyServer, OutputsCarryMonotonicSequence) {
   ProgramHarness h(tty);
   for (int i = 0; i < 3; ++i) {
     h.Push(kChan, kUser, kBindTtyLineBase + 2, MsgKind::kUser,
-           EncodeTaggedBlob(ReqTag::kTtyWrite, Bytes{static_cast<uint8_t>('0' + i)}));
+           Encode(ReqTag::kTtyWrite, Bytes{static_cast<uint8_t>('0' + i)}));
   }
   h.Drain();
   ASSERT_EQ(h.tty_emits.size(), 3u);
@@ -340,7 +378,7 @@ TEST(TtyServer, CtrlCRoutesSignalThroughProcServer) {
   TtyServerProgram tty(TtyServerOptions{});
   ProgramHarness h(tty);
   h.find_chan[kBindProcChannel] = 555;
-  h.Push(kChan, kUser, kBindTtyLineBase + 0, MsgKind::kUser, EncodeTagged(ReqTag::kTtyBind));
+  h.Push(kChan, kUser, kBindTtyLineBase + 0, MsgKind::kUser, Encode(ReqTag::kTtyBind));
   h.Drain();
   ByteWriter in;
   in.U8(static_cast<uint8_t>(ReqTag::kDevInput));
@@ -364,7 +402,7 @@ TEST(TtyServer, ServerSyncCarriesBindingsAndSeqs) {
   TtyServerProgram tty(options);
   ProgramHarness h(tty);
   h.Push(kChan, kUser, kBindTtyLineBase + 1, MsgKind::kUser,
-         EncodeTaggedBlob(ReqTag::kTtyWrite, Bytes{'x'}));
+         Encode(ReqTag::kTtyWrite, Bytes{'x'}));
   h.Drain();
   ASSERT_GE(h.server_syncs.size(), 1u);
   TtyServerProgram backup(options);
@@ -376,7 +414,7 @@ TEST(TtyServer, ServerSyncCarriesBindingsAndSeqs) {
   // The mirrored backup continues the sequence where the primary left off.
   ProgramHarness h2(backup);
   h2.Push(kChan, kUser, kBindTtyLineBase + 1, MsgKind::kUser,
-          EncodeTaggedBlob(ReqTag::kTtyWrite, Bytes{'y'}));
+          Encode(ReqTag::kTtyWrite, Bytes{'y'}));
   h2.Drain();
   ASSERT_EQ(h2.tty_emits.size(), 1u);
   ByteReader e(h2.tty_emits[0]);
@@ -390,7 +428,7 @@ TEST(ProcessServer, TimeRequestRepliesSimTime) {
   ProcessServerProgram ps;
   ProgramHarness h(ps);
   h.now = 123456;
-  h.Push(kChan, kUser, kBindProcChannel, MsgKind::kUser, EncodeTagged(ReqTag::kTime));
+  h.Push(kChan, kUser, kBindProcChannel, MsgKind::kUser, Encode(ReqTag::kTime));
   h.Drain();
   ASSERT_EQ(h.sent.size(), 1u);
   ByteReader r(h.sent[0].payload);
@@ -403,7 +441,7 @@ TEST(ProcessServer, AlarmArmsTimerAndFiresSignal) {
   ProgramHarness h(ps);
   h.find_chan[kBindSignalChannel] = 777;
   h.Push(kChan, kUser, kBindProcChannel, MsgKind::kUser,
-         EncodeTaggedU64(ReqTag::kAlarm, 5000));
+         Encode(ReqTag::kAlarm, uint64_t{5000}));
   h.Drain();
   ASSERT_EQ(h.timers.size(), 1u);
   EXPECT_EQ(h.timers[0].first, 5000u);
@@ -411,7 +449,7 @@ TEST(ProcessServer, AlarmArmsTimerAndFiresSignal) {
 
   // Timer fires: SIGALRM emitted on the requester's signal channel.
   h.Push(99, Gpid::Make(31, 1), kBindSelfChannel, MsgKind::kUser,
-         EncodeTaggedU64(ReqTag::kTimerFire, h.timers[0].second));
+         Encode(ReqTag::kTimerFire, uint64_t{h.timers[0].second}));
   h.Deliver();
   ASSERT_EQ(h.sent.size(), 1u);
   EXPECT_EQ(h.sent[0].channel, 777u);
@@ -424,7 +462,7 @@ TEST(ProcessServer, RestoreRearmsPendingAlarms) {
   ProgramHarness h(ps);
   h.now = 10'000;
   h.Push(kChan, kUser, kBindProcChannel, MsgKind::kUser,
-         EncodeTaggedU64(ReqTag::kAlarm, 50'000));
+         Encode(ReqTag::kAlarm, uint64_t{50'000}));
   h.Drain();
 
   ByteWriter w;
@@ -445,7 +483,7 @@ TEST(ProcessServer, StaleTimerFireIsIgnored) {
   ProcessServerProgram ps;
   ProgramHarness h(ps);
   h.Push(99, kUser, kBindSelfChannel, MsgKind::kUser,
-         EncodeTaggedU64(ReqTag::kTimerFire, 424242));
+         Encode(ReqTag::kTimerFire, uint64_t{424242}));
   h.Drain();
   EXPECT_TRUE(h.sent.empty());
 }
@@ -498,6 +536,12 @@ TEST(ServersPinned, PageServerStateAndServerSync) {
   h.Drain();
   ASSERT_EQ(h.server_syncs.size(), 1u);
   EXPECT_EQ(Fnv1a(h.server_syncs[0]), 10002262319078931287ull);
+  ByteReader sync(h.server_syncs[0]);
+  Decode<ServerSyncPrefix>(sync);
+  // The op log: {kWrite, pid, page, block} twice, then {kSync, pid}.
+  EXPECT_EQ(Hex(Decode<Bytes>(sync)),
+            "012a000000000001000100000008000000012a0000000000010002000000"
+            "09000000022a00000000000100");
   EXPECT_EQ(StateHash(ps), 8101027895166833095ull);
   ByteWriter w;
   ps.SerializeState(w);
@@ -513,10 +557,10 @@ TEST(ServersPinned, ProcessServerState) {
   ProgramHarness h(ps);
   h.now = 10'000;
   h.Push(kChan, kUser, kBindProcChannel, MsgKind::kUser,
-         EncodeTaggedU64(ReqTag::kAlarm, 50'000));
+         Encode(ReqTag::kAlarm, uint64_t{50'000}));
   h.Push(kChan, Gpid::Make(2, 9), kBindProcChannel, MsgKind::kUser,
-         EncodeTaggedU64(ReqTag::kAlarm, 7'000));
-  h.Push(kChan, kUser, kBindProcChannel, MsgKind::kUser, EncodeTagged(ReqTag::kTime));
+         Encode(ReqTag::kAlarm, uint64_t{7'000}));
+  h.Push(kChan, kUser, kBindProcChannel, MsgKind::kUser, Encode(ReqTag::kTime));
   h.Drain();
   EXPECT_EQ(StateHash(ps), 7691880579990613787ull);
 }
@@ -526,13 +570,13 @@ TEST(ServersPinned, TtyServerStateEmitAndServerSync) {
   options.sync_every_ops = 3;
   TtyServerProgram tty(options);
   ProgramHarness h(tty);
-  h.Push(kChan, kUser, kBindTtyLineBase + 0, MsgKind::kUser, EncodeTagged(ReqTag::kTtyBind));
+  h.Push(kChan, kUser, kBindTtyLineBase + 0, MsgKind::kUser, Encode(ReqTag::kTtyBind));
   h.Push(kChan + 1, kUser, kBindTtyLineBase + 1, MsgKind::kUser,
-         EncodeTaggedBlob(ReqTag::kTtyWrite, Bytes{'o', 'k'}));
+         Encode(ReqTag::kTtyWrite, Bytes{'o', 'k'}));
   h.Push(kChan + 1, kUser, kBindTtyLineBase + 1, MsgKind::kUser,
-         EncodeTaggedBlob(ReqTag::kTtyWrite, Bytes{'!'}));
+         Encode(ReqTag::kTtyWrite, Bytes{'!'}));
   h.Push(kChan + 1, kUser, kBindTtyLineBase + 1, MsgKind::kUser,
-         EncodeTaggedBlob(ReqTag::kTtyWrite, Bytes{'?'}));
+         Encode(ReqTag::kTtyWrite, Bytes{'?'}));
   h.Drain();
   ASSERT_EQ(h.tty_emits.size(), 3u);
   EXPECT_EQ(Hex(h.tty_emits[0]), "010000000100000000000000020000006f6b");
@@ -548,7 +592,7 @@ TEST(ServersPinned, TtyServerStateEmitAndServerSync) {
 TEST(ServersPinned, TtyServerReadsDeviceInput) {
   TtyServerProgram tty(TtyServerOptions{});
   ProgramHarness h(tty);
-  h.Push(kChan, kUser, kBindTtyLineBase + 3, MsgKind::kUser, EncodeTagged(ReqTag::kTtyBind));
+  h.Push(kChan, kUser, kBindTtyLineBase + 3, MsgKind::kUser, Encode(ReqTag::kTtyBind));
   h.Drain();
   // {kDevInput u8, line u32 = 3, text blob "hi"}.
   h.Push(99, kUser, kBindSelfChannel, MsgKind::kUser, FromHex("5103000000020000006869"));
@@ -568,13 +612,111 @@ TEST(ServersPinned, FileServerRuntimeStateAndServerSync) {
   h.Deliver();
   OpenReplyBody reply = Decode<OpenReplyBody>(h.sent.back().payload);
   h.Push(reply.channel.value, kUser, 0, MsgKind::kUser,
-         EncodeTaggedBlob(ReqTag::kFileWrite, Bytes(10, 7)));
+         Encode(ReqTag::kFileWrite, Bytes(10, 7)));
   h.Push(kChan, kUser, kBindFsChannel, MsgKind::kUser, OpenMsg("ch:duo", 9));
   h.Deliver();
   ASSERT_EQ(h.server_syncs.size(), 2u);  // the format commit, then ours
   EXPECT_EQ(Fnv1a(h.server_syncs[1]), 11242128682437613568ull);
   // The snapshot omits the pending ch:duo open the sync above carries.
   EXPECT_EQ(StateHash(fs), 1657421951531118271ull);
+}
+
+// Every block the file server wrote, with its number: the superblocks,
+// commit records, metadata image, log region and file data.
+uint64_t DiskHash(const std::map<BlockNum, Bytes>& disk) { return Fnv1a(Encode(disk)); }
+
+TEST(ServersPinned, FileServerDiskImage) {
+  FileServerOptions options;
+  options.sync_every_ops = 2;
+  FileServerProgram fs(options);
+  ProgramHarness h(fs);
+  h.Drain();  // the format commit
+  ASSERT_EQ(h.disk_write_vecs.size(), 2u);
+  // Log append: the metadata image and the superblock into log blocks 4
+  // and 5. Checkpoint: the same images to their homes, block 100 and
+  // superblock slot 1.
+  EXPECT_EQ(Hex(h.disk_write_vecs[0]),
+            "020000000400000014000000000000000000000001000000640000000000"
+            "000005000000180000004652554101000000000000001400000001000000"
+            "64000000");
+  EXPECT_EQ(Hex(h.disk_write_vecs[1]),
+            "020000006400000014000000000000000000000001000000640000000000"
+            "000001000000180000004652554101000000000000001400000001000000"
+            "64000000");
+  h.Push(kChan, kUser, kBindFsChannel, MsgKind::kUser, OpenMsg("f"));
+  h.Deliver();
+  uint64_t chan = Decode<OpenReplyBody>(h.sent.back().payload).channel.value;
+  h.Push(chan, kUser, 0, MsgKind::kUser, Encode(ReqTag::kFileWrite, Bytes(700, 7)));
+  h.Deliver();  // the second commit
+  ASSERT_EQ(fs.commits(), 2u);
+  EXPECT_EQ(DiskHash(h.disk), 3185680716567706543ull);
+
+  // A fresh server boots from that disk, finds the file, and commits a
+  // write over the metadata it parsed.
+  FileServerProgram rebooted(options);
+  ProgramHarness h2(rebooted);
+  h2.disk = h.disk;
+  h2.Drain();
+  EXPECT_EQ(rebooted.FileSize("f"), 700u);
+  h2.Push(kChan, kUser, kBindFsChannel, MsgKind::kUser, OpenMsg("g"));
+  h2.Deliver();
+  chan = Decode<OpenReplyBody>(h2.sent.back().payload).channel.value;
+  h2.Push(chan, kUser, 0, MsgKind::kUser, Encode(ReqTag::kFileWrite, Bytes(3, 9)));
+  h2.Deliver();
+  ASSERT_EQ(rebooted.commits(), 1u);
+  EXPECT_EQ(DiskHash(h2.disk), 16425495099942969308ull);
+}
+
+TEST(ServersPinned, WhoAmIReply) {
+  EXPECT_EQ(Hex(Encode(WhoAmIReply{Gpid::Make(31, 99), 2, 3})), "6300000000001f000200000003000000");
+}
+
+// A native program that always parks in a read.
+class ParkedReader : public NativeProgram {
+ public:
+  SyscallRequest Next(const SyscallResult& prev, bool first) override {
+    (void)prev;
+    (void)first;
+    SyscallRequest req;
+    req.num = Sys::kRead;
+    req.a = kAnyChannel;
+    req.b = 5;
+    req.c = 6;
+    req.data = Bytes{0xab, 0xcd};
+    return req;
+  }
+  void SerializeState(ByteWriter& w) const override { EncodeTo(w, state); }
+  void RestoreState(ByteReader& r) override { DecodeInto(r, state); }
+
+  uint32_t state = 7;
+};
+
+TEST(ServersPinned, NativeBodyContext) {
+  NativeBody idle(std::make_unique<ParkedReader>(), /*paged_ft=*/true);
+  EXPECT_EQ(Hex(idle.CaptureContext()), "0100000000");
+
+  NativeBody parked(std::make_unique<ParkedReader>(), /*paged_ft=*/true);
+  ASSERT_EQ(parked.Run(100).kind, BodyRun::Kind::kSyscall);
+  Bytes context = parked.CaptureContext();
+  EXPECT_EQ(Hex(context),
+            "010000000103000000ffffffffffffffff05000000000000000600000000"
+            "00000002000000abcd");
+
+  // Restored from that context and its state chunk, the body re-issues the
+  // pending read.
+  NativeBody restored(std::make_unique<ParkedReader>(), /*paged_ft=*/true);
+  restored.RestoreContext(context);
+  restored.EvictAllPages();
+  Bytes chunk = Encode(uint32_t{7});
+  chunk.resize(kAvmPageBytes, 0);
+  restored.InstallPage(0, /*known=*/true, chunk);
+  BodyRun run = restored.Run(100);
+  ASSERT_EQ(run.kind, BodyRun::Kind::kSyscall);
+  EXPECT_EQ(run.request.num, Sys::kRead);
+  EXPECT_EQ(run.request.a, kAnyChannel);
+  EXPECT_EQ(run.request.b, 5u);
+  EXPECT_EQ(run.request.c, 6u);
+  EXPECT_EQ(run.request.data, (Bytes{0xab, 0xcd}));
 }
 
 }  // namespace
