@@ -70,8 +70,8 @@ void Kernel::HandleCrashNotice(ClusterId dead) {
   crash_handled_[dead] = true;
   peer_alive_[dead] = false;
   crash_detect_at_[dead] = env_.engine().Now();
-  if (env_.metrics().last_crash_detected_at < env_.engine().Now()) {
-    env_.metrics().last_crash_detected_at = env_.engine().Now();
+  if (last_crash_detected_at_ < env_.engine().Now()) {
+    last_crash_detected_at_ = env_.engine().Now();
   }
   if (tracer_ != nullptr) {
     tracer_->Record(TraceEventKind::kCrashDetect, id_, 0, 0, dead, 0);
@@ -286,7 +286,7 @@ void Kernel::RebuildLostBackup(Pcb& pcb) {
   if (pcb.dispatched) {
     return;  // mid-slice; FinishRun -> MaybeTriggerSync retries
   }
-  ClusterId nb = env_.PlaceNewBackup(id_, kNoCluster);
+  ClusterId nb = env_.PlaceNewBackup(id_);
   if (nb == kNoCluster) {
     pcb.needs_rebackup = false;  // nowhere left to back up; run unprotected
     BroadcastBackupLocation(pcb.pid, kNoCluster);
@@ -413,7 +413,7 @@ void Kernel::TakeOver(BackupPcb b) {
       p.backup_exists = false;
       break;
     case BackupMode::kFullback: {
-      ClusterId nb = env_.PlaceNewBackup(id_, kNoCluster);
+      ClusterId nb = env_.PlaceNewBackup(id_);
       p.backup_cluster = nb;
       if (nb != kNoCluster) {
         CreateReplacementBackup(p, replacement_context);

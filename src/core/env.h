@@ -53,9 +53,9 @@ class MachineEnv {
   virtual void TtyEmit(Gpid server, const Bytes& data) = 0;
 
   // Fullback placement (§7.10.2: the process server decides; we use a
-  // deterministic machine-level rule — lowest-numbered alive cluster that is
-  // neither `avoid_a` nor `avoid_b`).
-  virtual ClusterId PlaceNewBackup(ClusterId avoid_a, ClusterId avoid_b) = 0;
+  // deterministic machine-level rule — the lowest-numbered cluster other
+  // than `from` that `from`'s kernel believes alive).
+  virtual ClusterId PlaceNewBackup(ClusterId from) = 0;
 
   // Re-instantiates the native program of a page-synced system server when
   // its passive backup takes over (its state is then restored from the page

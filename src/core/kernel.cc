@@ -198,10 +198,9 @@ void Kernel::TryDispatch() {
       continue;
     }
 
-    if (env_.metrics().last_crash_detected_at != 0 &&
-        env_.metrics().last_recovery_first_dispatch_at <
-            env_.metrics().last_crash_detected_at) {
-      env_.metrics().last_recovery_first_dispatch_at = env_.engine().Now();
+    if (last_crash_detected_at_ != 0 &&
+        last_recovery_first_dispatch_at_ < last_crash_detected_at_) {
+      last_recovery_first_dispatch_at_ = env_.engine().Now();
       if (tracer_ != nullptr) {
         tracer_->Record(TraceEventKind::kRecoveryDispatch, id_, pcb.pid.value, 0, 0, 0);
       }

@@ -379,6 +379,10 @@ class Kernel : public BusEndpoint {
   // When this kernel received the crash notice, per dead cluster (feeds the
   // rollforward_replay_us aggregate and kCrashHandled trace events).
   std::vector<SimTime> crash_detect_at_;
+  // The latest crash this kernel detected, and the first dispatch after it:
+  // that dispatch records kRecoveryDispatch.
+  SimTime last_crash_detected_at_ = 0;
+  SimTime last_recovery_first_dispatch_at_ = 0;
 
   Tracer* tracer_ = nullptr;
 

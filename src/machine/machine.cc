@@ -144,68 +144,6 @@ std::string MachineOptions::Validate() const {
   return placement.Validate(config);
 }
 
-// ------------------------------------------------------------- ClusterEnv
-
-ClusterEnv::ClusterEnv(Machine& machine, ClusterId cluster)
-    : machine_(machine), cluster_(cluster) {}
-
-Engine& ClusterEnv::engine() { return machine_.engine_; }
-
-Fabric& ClusterEnv::bus() { return *machine_.bus_; }
-
-const SystemConfig& ClusterEnv::config() const { return machine_.options_.config; }
-
-void ClusterEnv::DiskRead(Gpid server, BlockNum block,
-                          std::function<void(Result<Bytes>)> done) {
-  machine_.ServerDisk(server, TraceEventKind::kDiskRead, 0, block, 0)
-      .Read(block, std::move(done));
-}
-
-void ClusterEnv::DiskWrite(Gpid server, BlockNum block, Bytes data,
-                           std::function<void(Result<void>)> done) {
-  if (server == Machine::kFsPid) {
-    metrics_.fileserver_disk_bytes += data.size();
-  }
-  machine_.ServerDisk(server, TraceEventKind::kDiskWrite, 0, block, data.size())
-      .Write(block, std::move(data), std::move(done));
-}
-
-void ClusterEnv::DiskWriteMulti(Gpid server, DiskWriteBatch batch,
-                                std::function<void(Result<void>)> done) {
-  uint64_t bytes = 0;
-  for (const auto& [block, data] : batch) {
-    bytes += data.size();
-  }
-  if (server == Machine::kFsPid) {
-    metrics_.fileserver_disk_bytes += bytes;
-  }
-  // One trace event for the whole transaction; a = first home block,
-  // channel = batch size.
-  machine_.ServerDisk(server, TraceEventKind::kDiskWrite, batch.size(),
-                      batch.empty() ? 0 : batch.front().first, bytes)
-      .WriteMulti(std::move(batch), std::move(done));
-}
-
-void ClusterEnv::TtyEmit(Gpid server, const Bytes& data) { machine_.TtyEmit(server, data); }
-
-ClusterId ClusterEnv::PlaceNewBackup(ClusterId avoid_a, ClusterId avoid_b) {
-  return machine_.PlaceNewBackupFrom(cluster_, avoid_a, avoid_b);
-}
-
-std::unique_ptr<NativeProgram> ClusterEnv::MakeServerProgram(Gpid pid) {
-  return machine_.MakeServerProgram(pid);
-}
-
-void ClusterEnv::OnServerTakeover(Gpid pid, ClusterId new_cluster) {
-  machine_.OnServerTakeover(pid, new_cluster);
-}
-
-void ClusterEnv::OnProcessExit(Gpid pid, int32_t status) {
-  machine_.OnProcessExit(pid, status);
-}
-
-void ClusterEnv::OnDebugPutc(Gpid pid, char c) { machine_.OnDebugPutc(pid, c); }
-
 // ---------------------------------------------------------------- Machine
 
 Machine::Machine(MachineOptions options) : options_(std::move(options)) {
@@ -229,8 +167,7 @@ Machine::Machine(MachineOptions options) : options_(std::move(options)) {
         std::make_unique<MirroredDisk>(engine_, options_.disk, ports.primary, ports.backup));
   }
   for (ClusterId c = 0; c < cfg.topology.num_clusters(); ++c) {
-    envs_.push_back(std::make_unique<ClusterEnv>(*this, c));
-    kernels_.push_back(std::make_unique<Kernel>(*envs_[c], c));
+    kernels_.push_back(std::make_unique<Kernel>(*this, c));
     kernels_.back()->set_tracer(tracer_.get());
   }
 }
@@ -490,15 +427,7 @@ std::string Machine::TtyOutput(uint32_t line) const {
   return out;
 }
 
-Metrics Machine::metrics() const {
-  Metrics agg;
-  for (const auto& env : envs_) {
-    agg.Accumulate(env->metrics());
-  }
-  return agg;
-}
-
-// ------------------------------------------------- ClusterEnv backends
+// ------------------------------------------------------------ MachineEnv
 
 MirroredDisk& Machine::ServerDisk(Gpid server, TraceEventKind kind, uint64_t channel, uint64_t a,
                                   uint64_t b) {
@@ -508,6 +437,35 @@ MirroredDisk& Machine::ServerDisk(Gpid server, TraceEventKind kind, uint64_t cha
     tracer_->Record(kind, kNoCluster, server.value, channel, a, b);
   }
   return *it->second;
+}
+
+void Machine::DiskRead(Gpid server, BlockNum block, std::function<void(Result<Bytes>)> done) {
+  ServerDisk(server, TraceEventKind::kDiskRead, 0, block, 0).Read(block, std::move(done));
+}
+
+void Machine::DiskWrite(Gpid server, BlockNum block, Bytes data,
+                        std::function<void(Result<void>)> done) {
+  if (server == kFsPid) {
+    metrics_.fileserver_disk_bytes += data.size();
+  }
+  ServerDisk(server, TraceEventKind::kDiskWrite, 0, block, data.size())
+      .Write(block, std::move(data), std::move(done));
+}
+
+void Machine::DiskWriteMulti(Gpid server, DiskWriteBatch batch,
+                             std::function<void(Result<void>)> done) {
+  uint64_t bytes = 0;
+  for (const auto& [block, data] : batch) {
+    bytes += data.size();
+  }
+  if (server == kFsPid) {
+    metrics_.fileserver_disk_bytes += bytes;
+  }
+  // One trace event for the whole transaction; a = first home block,
+  // channel = batch size.
+  ServerDisk(server, TraceEventKind::kDiskWrite, batch.size(),
+             batch.empty() ? 0 : batch.front().first, bytes)
+      .WriteMulti(std::move(batch), std::move(done));
 }
 
 void Machine::TtyEmit(Gpid server, const Bytes& data) {
@@ -527,14 +485,9 @@ void Machine::TtyEmit(Gpid server, const Bytes& data) {
   tty_raw_.push_back(std::move(rec));
 }
 
-ClusterId Machine::PlaceNewBackupFrom(ClusterId from, ClusterId avoid_a, ClusterId avoid_b) {
-  const Kernel& believer = *kernels_[from];
+ClusterId Machine::PlaceNewBackup(ClusterId from) {
   for (ClusterId c = 0; c < kernels_.size(); ++c) {
-    if (c == avoid_a || c == avoid_b) {
-      continue;
-    }
-    const bool usable = c == from ? believer.alive() : believer.PeerBelievedAlive(c);
-    if (usable) {
+    if (c != from && kernels_[from]->PeerBelievedAlive(c)) {
       return c;
     }
   }

@@ -118,40 +118,9 @@ struct TtyRecord {
   SimTime at = 0;
 };
 
-class Machine;
-
-// A cluster's private view of the machine (its MachineEnv). Each kernel gets
-// its own, carrying the machine's Engine and a cluster-local Metrics
-// object. Machine-level callbacks (exit records, tty transcripts,
-// server directory updates) forward to the Machine's cross-cluster maps.
-class ClusterEnv : public MachineEnv {
- public:
-  ClusterEnv(Machine& machine, ClusterId cluster);
-
-  Engine& engine() override;
-  Fabric& bus() override;
-  const SystemConfig& config() const override;
-  Metrics& metrics() override { return metrics_; }
-  void DiskRead(Gpid server, BlockNum block,
-                std::function<void(Result<Bytes>)> done) override;
-  void DiskWrite(Gpid server, BlockNum block, Bytes data,
-                 std::function<void(Result<void>)> done) override;
-  void DiskWriteMulti(Gpid server, DiskWriteBatch batch,
-                      std::function<void(Result<void>)> done) override;
-  void TtyEmit(Gpid server, const Bytes& data) override;
-  ClusterId PlaceNewBackup(ClusterId avoid_a, ClusterId avoid_b) override;
-  std::unique_ptr<NativeProgram> MakeServerProgram(Gpid pid) override;
-  void OnServerTakeover(Gpid pid, ClusterId new_cluster) override;
-  void OnProcessExit(Gpid pid, int32_t status) override;
-  void OnDebugPutc(Gpid pid, char c) override;
-
- private:
-  Machine& machine_;
-  ClusterId cluster_;
-  Metrics metrics_;
-};
-
-class Machine {
+// The machine is every kernel's MachineEnv: one engine, one fabric and one
+// Metrics for all clusters.
+class Machine : public MachineEnv {
  public:
   explicit Machine(MachineOptions options);
   ~Machine();
@@ -181,7 +150,7 @@ class Machine {
   // One event heap drives the whole machine (DESIGN.md §16). Actions from
   // outside the simulation (fault injection, console input) are ordinary
   // events on it.
-  Engine& engine() { return engine_; }
+  Engine& engine() override { return engine_; }
   // Shim for the repository benchmark, which still reads a shard count;
   // goes with the next benchmark change, like WithEngineThreads. One heap
   // is one shard.
@@ -239,9 +208,8 @@ class Machine {
 
   // --- observation ---
   Kernel& kernel(ClusterId cluster) { return *kernels_[cluster]; }
-  // Machine-wide metrics, aggregated across the per-cluster Metrics objects
-  // (counters sum; the last_* stamps take the machine-wide max).
-  Metrics metrics() const;
+  Metrics& metrics() override { return metrics_; }
+  const Metrics& metrics() const { return metrics_; }
   const std::map<uint64_t, int32_t>& exit_statuses() const { return exit_statuses_; }
   bool HasExited(Gpid pid) const { return exit_statuses_.count(pid.value) != 0; }
   int32_t ExitStatus(Gpid pid) const { return exit_statuses_.at(pid.value); }
@@ -256,8 +224,8 @@ class Machine {
   MirroredDisk& page_disk(uint32_t shard = 0) { return *page_disks_[shard]; }
   // Null unless MachineOptions::trace.enabled was set.
   Tracer* tracer() { return tracer_.get(); }
-  Fabric& bus() { return *bus_; }
-  const SystemConfig& config() const { return options_.config; }
+  Fabric& bus() override { return *bus_; }
+  const SystemConfig& config() const override { return options_.config; }
 
   // Well-known server pids (cluster 32 is fictitious: these ids can never
   // collide with kernel-allocated pids).
@@ -269,8 +237,6 @@ class Machine {
   static constexpr Gpid PageShardPid(uint32_t shard) { return Gpid::Make(32, 5 + shard); }
 
  private:
-  friend class ClusterEnv;
-
   // Placement of page-server shard s (and, with `backup` pairs swapped in,
   // of its disk ports): segment (s mod S), base pair rotated within the
   // segment by floor(s / S). Reduces to ((pair + s) mod num_clusters) on a
@@ -280,21 +246,27 @@ class Machine {
   void SpawnServers();
   bool AllUsersExited() const;
 
-  // --- ClusterEnv backends ---
+  // --- MachineEnv, for the kernels ---
   // The disk bound to `server`, after recording the operation's trace
   // event. The disks are dual-ported to their server's clusters (§7.1), so
   // an operation reaches its disk directly, never over the bus.
   MirroredDisk& ServerDisk(Gpid server, TraceEventKind kind, uint64_t channel, uint64_t a,
                            uint64_t b);
-  void TtyEmit(Gpid server, const Bytes& data);
+  void DiskRead(Gpid server, BlockNum block,
+                std::function<void(Result<Bytes>)> done) override;
+  void DiskWrite(Gpid server, BlockNum block, Bytes data,
+                 std::function<void(Result<void>)> done) override;
+  void DiskWriteMulti(Gpid server, DiskWriteBatch batch,
+                      std::function<void(Result<void>)> done) override;
+  void TtyEmit(Gpid server, const Bytes& data) override;
   // Fullback placement by the *calling kernel's* belief about peer liveness
   // (heartbeats + crash notices): the paper's kernels only ever saw the
   // bus.
-  ClusterId PlaceNewBackupFrom(ClusterId from, ClusterId avoid_a, ClusterId avoid_b);
-  std::unique_ptr<NativeProgram> MakeServerProgram(Gpid pid);
-  void OnServerTakeover(Gpid pid, ClusterId new_cluster);
-  void OnProcessExit(Gpid pid, int32_t status);
-  void OnDebugPutc(Gpid pid, char c);
+  ClusterId PlaceNewBackup(ClusterId from) override;
+  std::unique_ptr<NativeProgram> MakeServerProgram(Gpid pid) override;
+  void OnServerTakeover(Gpid pid, ClusterId new_cluster) override;
+  void OnProcessExit(Gpid pid, int32_t status) override;
+  void OnDebugPutc(Gpid pid, char c) override;
 
   MachineOptions options_;
   Engine engine_{Engine::kNoLogClock};
@@ -302,7 +274,7 @@ class Machine {
   std::unique_ptr<Fabric> bus_;
   std::unique_ptr<MirroredDisk> fs_disk_;
   std::vector<std::unique_ptr<MirroredDisk>> page_disks_;  // one per shard
-  std::vector<std::unique_ptr<ClusterEnv>> envs_;          // one per cluster
+  Metrics metrics_;
   std::vector<std::unique_ptr<Kernel>> kernels_;
 
   ServerAddr fs_addr_;

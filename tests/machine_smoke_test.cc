@@ -17,28 +17,6 @@ MachineOptions TwoClusters() {
   return options;
 }
 
-// Machine::metrics() folds the per-cluster Metrics: counters and durations
-// add, the last_* stamps take the latest.
-TEST(MachineSmoke, MetricsAccumulateAddsCountersAndKeepsLatestStamps) {
-  Metrics a;
-  a.syncs = 2;
-  a.work_busy_us = 10;
-  a.last_crash_detected_at = 50;
-  a.last_recovery_complete_at = 7;
-  Metrics b;
-  b.syncs = 3;
-  b.early_arrivals_parked = 1;
-  b.work_busy_us = 5;
-  b.last_crash_detected_at = 40;
-  b.last_recovery_complete_at = 9;
-  a.Accumulate(b);
-  EXPECT_EQ(a.syncs, 5u);
-  EXPECT_EQ(a.early_arrivals_parked, 1u);
-  EXPECT_EQ(a.work_busy_us, 15u);
-  EXPECT_EQ(a.last_crash_detected_at, 50u);
-  EXPECT_EQ(a.last_recovery_complete_at, 9u);
-}
-
 TEST(MachineSmoke, BootsAndSettles) {
   Machine machine(TwoClusters());
   machine.Boot();
