@@ -8,7 +8,7 @@
 namespace auragen {
 
 BlockDevice::BlockDevice(Engine& engine, DiskConfig config)
-    : engine_(engine), config_(config), blocks_(config.num_blocks) {}
+    : engine_(engine), config_(config) {}
 
 void BlockDevice::Read(BlockNum block, ReadCallback done) {
   AURAGEN_CHECK(block < config_.num_blocks) << "read past end of disk:" << block;
@@ -101,12 +101,12 @@ void BlockDevice::Complete() {
       case Op::kRead:
         ++stats_.reads;
         stats_.bytes_read += kBlockSize;
-        req.read_done(Result<Bytes>(blocks_[req.block]));
+        req.read_done(Result<Bytes>(PeekBlock(req.block)));
         break;
       case Op::kWrite:
         ++stats_.writes;
         stats_.bytes_written += req.data.size();
-        blocks_[req.block] = std::move(req.data);
+        Store(req.block, std::move(req.data));
         req.write_done(OkResult());
         break;
       case Op::kWriteMulti:
@@ -114,7 +114,7 @@ void BlockDevice::Complete() {
         for (auto& [block, data] : req.batch) {
           ++stats_.writes;
           stats_.bytes_written += data.size();
-          blocks_[block] = std::move(data);
+          Store(block, std::move(data));
         }
         req.write_done(OkResult());
         break;
@@ -125,7 +125,14 @@ void BlockDevice::Complete() {
 
 Bytes BlockDevice::PeekBlock(BlockNum block) const {
   AURAGEN_CHECK(block < config_.num_blocks);
-  return blocks_[block];
+  return block < blocks_.size() ? blocks_[block] : Bytes{};
+}
+
+void BlockDevice::Store(BlockNum block, Bytes data) {
+  if (block >= blocks_.size()) {
+    blocks_.resize(block + 1);
+  }
+  blocks_[block] = std::move(data);
 }
 
 MirroredDisk::MirroredDisk(Engine& engine, DiskConfig config, ClusterId port_a, ClusterId port_b)

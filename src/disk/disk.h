@@ -109,12 +109,14 @@ class BlockDevice {
   void StartNext();
   void Complete();
   void Enqueue(Request req);
+  void Store(BlockNum block, Bytes data);
   SimTime ServiceTime(size_t bytes) const {
     return config_.seek_us + static_cast<SimTime>(static_cast<double>(bytes) * config_.us_per_byte);
   }
 
   Engine& engine_;
   DiskConfig config_;
+  // Grows to the highest block written; a block never written reads empty.
   std::vector<Bytes> blocks_;
   std::deque<Request> queue_;
   // The single in-flight request lives here (not in the engine closure) so
