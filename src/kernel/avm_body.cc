@@ -231,7 +231,8 @@ void AvmBody::LeaveSignal() {
 }
 
 std::unique_ptr<AvmBody> AvmBody::CloneForFork(uint32_t parent_rv) {
-  AURAGEN_CHECK(!awaiting_completion_ || true);
+  // A fork clone happens only inside the fork syscall.
+  AURAGEN_CHECK(awaiting_completion_) << "fork clone outside the fork syscall";
   auto child = std::make_unique<AvmBody>(*this);
   // The fork syscall completion wrote r0 already at the kernel's direction;
   // here we only differentiate child vs parent return values.

@@ -75,23 +75,18 @@ class Engine {
   // predicate cut the run short.
   uint64_t Run(SimTime until = kSimForever, const std::function<bool()>& stop_pred = {});
 
-  // Runs exactly one event if any is pending before `until`. Returns false
-  // when nothing was dispatched.
-  bool Step(SimTime until = kSimForever);
-
   bool Empty() const { return live_events_ == 0; }
   uint64_t dispatched() const { return dispatched_; }
-  uint64_t live_events() const { return live_events_; }
 
   // Records one kEngineDispatch trace event per dispatched event (a = its
   // id) when `tracer` wants that kind. Write-only, like all tracing.
   void set_tracer(Tracer* tracer);
 
-  // Livelock guard for fault campaigns: with a nonzero limit, Run()/Step()
-  // refuse to dispatch past `limit` total events, so a run halts after
-  // exactly `limit` of them — a run stuck re-scheduling at the same instant
-  // (so time never reaches the horizon) terminates with
-  // dispatch_limit_hit() set instead of spinning forever. 0 disables.
+  // Livelock guard for fault campaigns: with a nonzero limit, Run() refuses
+  // to dispatch past `limit` total events, so a run halts after exactly
+  // `limit` of them — a run stuck re-scheduling at the same instant (so
+  // time never reaches the horizon) terminates with dispatch_limit_hit()
+  // set instead of spinning forever. 0 disables.
   void set_dispatch_limit(uint64_t limit) { dispatch_limit_ = limit; }
   bool dispatch_limit_hit() const {
     return dispatch_limit_ != 0 && dispatched_ >= dispatch_limit_;
@@ -101,13 +96,9 @@ class Engine {
   // intact; Run() can be called again.
   void Stop() { stop_requested_ = true; }
 
-  // Test-only visibility into the cancel bookkeeping: heap entries whose
-  // slot generation has moved on (they vanish as they surface). Bounded by
-  // the number of Cancel() calls on still-pending events since the last
-  // drain — cancel-after-fire contributes nothing.
-  uint64_t stale_heap_entries() const { return queue_.size() - live_events_; }
-
  private:
+  friend class EngineTestPeer;
+
   // The heap holds only POD keys; callables live in a slab addressed by
   // slot index. Heap shuffles therefore move 24-byte entries instead of
   // relocating whole Tasks (whose inline buffers are deliberately large).
@@ -139,6 +130,10 @@ class Engine {
   // Pops cancelled leftovers off the heap top, freeing their slots, so the
   // top (if any) is the next live event.
   void DropCancelledTop();
+
+  // Runs exactly one event if any is pending before `until`. Returns false
+  // when nothing was dispatched.
+  bool Step(SimTime until = kSimForever);
 
   SimTime now_ = 0;
   uint64_t next_seq_ = 1;

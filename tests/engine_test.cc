@@ -13,6 +13,19 @@
 #include "src/trace/trace.h"
 
 namespace auragen {
+
+// The engine's cancel bookkeeping, which is not public API.
+class EngineTestPeer {
+ public:
+  static uint64_t live_events(const Engine& engine) { return engine.live_events_; }
+  // Heap entries whose slot generation has moved on (they vanish as they
+  // surface). Bounded by the number of Cancel() calls on still-pending
+  // events since the last drain — cancel-after-fire contributes nothing.
+  static uint64_t stale_heap_entries(const Engine& engine) {
+    return engine.queue_.size() - engine.live_events_;
+  }
+};
+
 namespace {
 
 // --- Engine::Cancel bookkeeping ---------------------------------------
@@ -29,7 +42,7 @@ TEST(EngineCancel, AfterFireCannotKillSlotReuse) {
   EventId second = engine.Schedule(1, [&] { second_fired = true; });
   EXPECT_NE(first, second);
   engine.Cancel(first);  // must not touch the reused slot
-  EXPECT_EQ(engine.live_events(), 1u);
+  EXPECT_EQ(EngineTestPeer::live_events(engine), 1u);
   engine.Run();
   EXPECT_TRUE(second_fired);
 }
@@ -47,7 +60,7 @@ TEST(EngineCancel, FiredIdsLeaveNoResidue) {
     for (EventId id : fired_ids) {
       engine.Cancel(id);  // all no-ops
     }
-    EXPECT_EQ(engine.stale_heap_entries(), 0u) << "round " << round;
+    EXPECT_EQ(EngineTestPeer::stale_heap_entries(engine), 0u) << "round " << round;
   }
 
   // Cancel-while-pending leaves one stale entry each...
@@ -58,11 +71,11 @@ TEST(EngineCancel, FiredIdsLeaveNoResidue) {
   for (EventId id : pending) {
     engine.Cancel(id);
   }
-  EXPECT_EQ(engine.stale_heap_entries(), 8u);
+  EXPECT_EQ(EngineTestPeer::stale_heap_entries(engine), 8u);
   EXPECT_TRUE(engine.Empty());
   // ...which vanish the next time the heap drains.
   engine.Run();
-  EXPECT_EQ(engine.stale_heap_entries(), 0u);
+  EXPECT_EQ(EngineTestPeer::stale_heap_entries(engine), 0u);
 }
 
 TEST(EngineCancel, DoubleCancelIsNoop) {

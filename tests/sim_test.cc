@@ -8,6 +8,13 @@
 #include "src/sim/engine.h"
 
 namespace auragen {
+
+// Steps the engine one event at a time, which is not public API.
+class EngineTestPeer {
+ public:
+  static bool Step(Engine& engine) { return engine.Step(); }
+};
+
 namespace {
 
 TEST(Engine, FiresInTimeOrder) {
@@ -80,11 +87,11 @@ TEST(Engine, StepOneAtATime) {
   int count = 0;
   engine.Schedule(1, [&] { ++count; });
   engine.Schedule(2, [&] { ++count; });
-  EXPECT_TRUE(engine.Step());
+  EXPECT_TRUE(EngineTestPeer::Step(engine));
   EXPECT_EQ(count, 1);
-  EXPECT_TRUE(engine.Step());
+  EXPECT_TRUE(EngineTestPeer::Step(engine));
   EXPECT_EQ(count, 2);
-  EXPECT_FALSE(engine.Step());
+  EXPECT_FALSE(EngineTestPeer::Step(engine));
 }
 
 TEST(Engine, StopInterruptsRun) {
