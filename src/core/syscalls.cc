@@ -584,7 +584,7 @@ void Kernel::DeliverPendingSignal(Pcb& pcb) {
   pcb.reads_total++;
   sig->reads_since_sync++;
 
-  ReqTag tag;
+  ReqTag tag{};
   Gpid target;  // redundant here
   uint32_t signum = 0;
   ByteReader r(q.msg.body);

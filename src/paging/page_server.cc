@@ -222,7 +222,7 @@ void PageServerProgram::ApplyServerSync(ByteReader& r) {
   const Bytes log = Decode<Bytes>(r);
   ByteReader ops(log);
   while (!ops.done()) {
-    PsOp op;
+    PsOp op{};
     Gpid pid;
     DecodeInto(ops, op, pid);
     if (op == PsOp::kSync) {
