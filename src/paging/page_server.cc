@@ -14,7 +14,6 @@ namespace {
 // page, block} and {kSync, pid}.
 enum class PsOp : uint8_t { kWrite = 1, kSync = 2 };
 
-// Appends one op to the log.
 template <typename... T>
 void AppendOp(Bytes& log, PsOp op, const T&... v) {
   ByteWriter w(std::move(log));
